@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all tier1 vet build test race roundtrip chaos fuzz bench bench-obs bench-check serve clean
+.PHONY: all tier1 vet build test race roundtrip chaos fuzz bench bench-sim bench-obs bench-check serve clean
 
 all: tier1
 
@@ -59,6 +59,12 @@ fuzz:
 # bench runs the full experiment benchmark suite (slow).
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$'
+
+# bench-sim is the MNA factor/step microbenchmark: one clock-tree
+# stage transient (RC and RLC) plus LU factor and solve, with
+# allocation counts.
+bench-sim:
+	$(GO) test -run '^$$' -bench 'Transient|Factor' -benchmem ./internal/sim ./internal/linalg
 
 # bench-obs runs the short hot-path pass guarding the instrumentation
 # layer's no-overhead requirement and writes BENCH_obs.json plus the

@@ -1,10 +1,16 @@
-// Package linalg implements the small dense linear-algebra kernel the
+// Package linalg implements the small linear-algebra kernel the
 // extractor needs: real and complex matrices, LU decomposition with
 // partial pivoting, linear solves and inverses.
 //
 // The matrices involved are modest (filament systems of a few hundred
-// unknowns, MNA systems of a few thousand), so a straightforward dense
-// O(n³) LU is the right tool; no sparsity or blocking is attempted.
+// unknowns, MNA systems of a few thousand), so elimination is a
+// straightforward dense O(n³) LU; no fill-reducing ordering or blocking
+// is attempted. What is sparse-aware is the repeated work: a real LU
+// keeps its factors in compressed-row form (CSR) after elimination, and
+// CSR.MulVecTo multiplies by a compressed matrix, so the per-step
+// solves and products of a transient simulation cost O(nnz) rather
+// than O(n²) — with the same floating-point results as the dense
+// loops. The complex solver stays fully dense.
 package linalg
 
 import (
@@ -125,13 +131,18 @@ func (m *Matrix) MaxAbsDiff(other *Matrix) float64 {
 }
 
 // LU holds the LU factorization of a square matrix with partial
-// pivoting: P·A = L·U with the factors packed into lu and the row
-// permutation in piv.
+// pivoting, P·A = L·U. Elimination runs dense, once; the factors are
+// then stored compressed (exact zeros dropped), so each solve walks only
+// the nonzeros that elimination left, fill included.
 type LU struct {
 	n    int
-	lu   []float64
-	piv  []int
-	sign int // parity of permutation; determinant sign
+	l    *CSR      // strictly lower triangle of L; its unit diagonal is implicit
+	u    *CSR      // strictly upper triangle of U
+	diag []float64 // U's diagonal: the pivots
+	// swaps[k] is the row exchanged with row k at elimination step k;
+	// replaying the swaps in order applies P.
+	swaps []int
+	sign  int // parity of permutation; determinant sign
 	// minPiv/maxPiv are the extreme |pivot| magnitudes seen during
 	// elimination; their ratio is a cheap condition estimate.
 	minPiv, maxPiv float64
@@ -148,22 +159,48 @@ func (f *LU) CondEstimate() float64 {
 	return f.maxPiv / f.minPiv
 }
 
+// NNZ returns the number of stored factor entries: the nonzeros of L
+// below the diagonal and of U on and above it.
+func (f *LU) NNZ() int { return f.l.NNZ() + f.u.NNZ() + f.n }
+
 // Factor computes the LU factorization of square matrix a. The input
 // is not modified. It returns ErrSingular when a pivot underflows.
 func Factor(a *Matrix) (*LU, error) {
-	if a.Rows != a.Cols {
-		return nil, fmt.Errorf("linalg: Factor needs a square matrix, got %d×%d", a.Rows, a.Cols)
-	}
-	if err := checkFinite(a.Data, a.Cols); err != nil {
+	f, lu, err := eliminate(a)
+	if err != nil {
 		return nil, err
 	}
-	n := a.Rows
-	f := &LU{n: n, lu: make([]float64, n*n), piv: make([]int, n), sign: 1, minPiv: math.Inf(1)}
-	copy(f.lu, a.Data)
-	for i := range f.piv {
-		f.piv[i] = i
+	n := f.n
+	lower, upper := 0, 0
+	for i := 0; i < n; i++ {
+		lower += countNonzero(lu[i*n : i*n+i])
+		upper += countNonzero(lu[i*n+i+1 : i*n+n])
 	}
-	lu := f.lu
+	f.l, f.u = newCSR(n, n, lower), newCSR(n, n, upper)
+	f.diag = make([]float64, n)
+	for i := 0; i < n; i++ {
+		f.l.appendRow(lu[i*n:i*n+i], 0)
+		f.u.appendRow(lu[i*n+i+1:i*n+n], i+1)
+		f.diag[i] = lu[i*n+i]
+	}
+	return f, nil
+}
+
+// eliminate runs dense Gaussian elimination with partial pivoting on a
+// copy of a. It returns the factorization's permutation and pivot
+// statistics, with the factors packed row-major into lu: L's multipliers
+// below the diagonal, U on and above it.
+func eliminate(a *Matrix) (*LU, []float64, error) {
+	if a.Rows != a.Cols {
+		return nil, nil, fmt.Errorf("linalg: Factor needs a square matrix, got %d×%d", a.Rows, a.Cols)
+	}
+	if err := checkFinite(a.Data, a.Cols); err != nil {
+		return nil, nil, err
+	}
+	n := a.Rows
+	f := &LU{n: n, swaps: make([]int, n), sign: 1, minPiv: math.Inf(1)}
+	lu := make([]float64, n*n)
+	copy(lu, a.Data)
 	for k := 0; k < n; k++ {
 		// Partial pivot: find the largest |value| in column k at or
 		// below the diagonal.
@@ -174,12 +211,12 @@ func Factor(a *Matrix) (*LU, error) {
 			}
 		}
 		if max == 0 || math.IsNaN(max) {
-			return nil, ErrSingular
+			return nil, nil, ErrSingular
 		}
 		if math.IsInf(max, 0) {
 			// Finite input overflowed during elimination: the system is
 			// numerically hopeless, not merely rank-deficient.
-			return nil, fmt.Errorf("pivot overflow in column %d: %w", k, ErrIllConditioned)
+			return nil, nil, fmt.Errorf("pivot overflow in column %d: %w", k, ErrIllConditioned)
 		}
 		if max < f.minPiv {
 			f.minPiv = max
@@ -187,13 +224,13 @@ func Factor(a *Matrix) (*LU, error) {
 		if max > f.maxPiv {
 			f.maxPiv = max
 		}
+		f.swaps[k] = p
 		if p != k {
 			rowP := lu[p*n : p*n+n]
 			rowK := lu[k*n : k*n+n]
 			for j := range rowK {
 				rowK[j], rowP[j] = rowP[j], rowK[j]
 			}
-			f.piv[k], f.piv[p] = f.piv[p], f.piv[k]
 			f.sign = -f.sign
 		}
 		pivot := lu[k*n+k]
@@ -210,7 +247,7 @@ func Factor(a *Matrix) (*LU, error) {
 			}
 		}
 	}
-	return f, nil
+	return f, lu, nil
 }
 
 // Solve solves A·x = b for a single right-hand side. b is not
@@ -219,61 +256,71 @@ func (f *LU) Solve(b []float64) ([]float64, error) {
 	if len(b) != f.n {
 		return nil, fmt.Errorf("linalg: Solve rhs length %d != %d", len(b), f.n)
 	}
+	x := make([]float64, f.n)
+	if err := f.SolveInPlace(b, x); err != nil {
+		return nil, err
+	}
+	return x, nil
+}
+
+// SolveInPlace solves A·x = b storing the result into dst, which may
+// alias b. It does not allocate, so inner simulation loops can call it
+// every step. On error dst holds no meaningful values.
+//
+// The substitutions visit the stored factor entries in the order a
+// dense solve visits its columns, so skipping the zeros is exact: for
+// a finite b with no negative-zero entries, x is bit for bit what the
+// dense triangular solves of the same factorization give.
+func (f *LU) SolveInPlace(b, dst []float64) error {
 	n := f.n
-	x := make([]float64, n)
-	for i := 0; i < n; i++ {
-		x[i] = b[f.piv[i]]
+	if len(b) != n || len(dst) != n {
+		return fmt.Errorf("linalg: SolveInPlace length mismatch (rhs %d, dst %d, system %d)", len(b), len(dst), n)
+	}
+	x := dst
+	copy(x, b)
+	for k, p := range f.swaps {
+		x[k], x[p] = x[p], x[k]
 	}
 	// Forward substitution with unit-diagonal L.
+	l := f.l
 	for i := 1; i < n; i++ {
+		lo, hi := l.rowPtr[i], l.rowPtr[i+1]
+		cols, vals := l.colIdx[lo:hi], l.val[lo:hi]
 		s := x[i]
-		row := f.lu[i*n : i*n+i]
-		for j, v := range row {
-			s -= v * x[j]
+		for k, j := range cols {
+			s -= vals[k] * x[j]
 		}
 		x[i] = s
 	}
 	// Back substitution with U.
+	u := f.u
 	for i := n - 1; i >= 0; i-- {
+		lo, hi := u.rowPtr[i], u.rowPtr[i+1]
+		cols, vals := u.colIdx[lo:hi], u.val[lo:hi]
 		s := x[i]
-		row := f.lu[i*n+i+1 : i*n+n]
-		for j, v := range row {
-			s -= v * x[i+1+j]
+		for k, j := range cols {
+			s -= vals[k] * x[j]
 		}
-		d := f.lu[i*n+i]
+		d := f.diag[i]
 		if d == 0 {
-			return nil, ErrSingular
+			return ErrSingular
 		}
 		x[i] = s / d
 	}
 	for i, v := range x {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return nil, fmt.Errorf("solution component %d is %g (pivot condition estimate %.3g): %w",
+			return fmt.Errorf("solution component %d is %g (pivot condition estimate %.3g): %w",
 				i, v, f.CondEstimate(), ErrIllConditioned)
 		}
 	}
-	return x, nil
-}
-
-// SolveInPlace solves A·x = b storing the result into dst (which may
-// alias b). It avoids allocation in inner simulation loops.
-func (f *LU) SolveInPlace(b, dst []float64) error {
-	if len(b) != f.n || len(dst) != f.n {
-		return fmt.Errorf("linalg: SolveInPlace length mismatch")
-	}
-	x, err := f.Solve(b)
-	if err != nil {
-		return err
-	}
-	copy(dst, x)
 	return nil
 }
 
 // Det returns the determinant of the factored matrix.
 func (f *LU) Det() float64 {
 	d := float64(f.sign)
-	for i := 0; i < f.n; i++ {
-		d *= f.lu[i*f.n+i]
+	for _, v := range f.diag {
+		d *= v
 	}
 	return d
 }

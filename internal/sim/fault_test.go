@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"clockrlc/internal/linalg"
 	"clockrlc/internal/netlist"
 )
 
@@ -79,6 +80,24 @@ func TestDivergenceCounterMoves(t *testing.T) {
 	nl.AddC("c", "out", "0", 1e-12)
 	if _, err := Transient(nl, 1e-11, 1e-9, []string{"out"}); err == nil {
 		t.Fatal("poisoned run did not fail")
+	}
+	if simDiverged.Value() == before {
+		t.Fatal("sim.diverged counter did not move")
+	}
+}
+
+// A finite right-hand side whose solve overflows (a 1e300 V step into
+// a 1e-10 Ω path) is divergence: it must match ErrDiverged as well as
+// the solver's ErrIllConditioned, and be counted.
+func TestTransientDivergedSolveIsErrDiverged(t *testing.T) {
+	before := simDiverged.Value()
+	nl := netlist.New()
+	nl.AddV("vin", "in", "0", netlist.Ramp{V0: 0, V1: 1e300, Start: 0, Rise: 1e-11})
+	nl.AddR("r", "in", "out", 1e-10)
+	nl.AddC("c", "out", "0", 1e-12)
+	_, err := Transient(nl, 1e-11, 1e-10, []string{"out"})
+	if !errors.Is(err, ErrDiverged) || !errors.Is(err, linalg.ErrIllConditioned) {
+		t.Fatalf("want ErrDiverged wrapping linalg.ErrIllConditioned, got %v", err)
 	}
 	if simDiverged.Value() == before {
 		t.Fatal("sim.diverged counter did not move")

@@ -305,6 +305,17 @@ func TestGroundAliasProbe(t *testing.T) {
 	}
 }
 
+func TestDuplicateProbeKeepsOneSamplePerStep(t *testing.T) {
+	res, err := Transient(rcStep(1e3, 1e-12), 1e-11, 1e-9, []string{"out", "out"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, _ := res.Waveform("out")
+	if len(v) != len(res.Time) {
+		t.Fatalf("duplicated probe has %d samples for %d time points", len(v), len(res.Time))
+	}
+}
+
 // Property: an RC network driven by a bounded source is passive — no
 // node voltage can leave the source's range (monotone RC ladders
 // cannot overshoot).
