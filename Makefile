@@ -1,16 +1,21 @@
 GO ?= go
 
-.PHONY: all tier1 vet build test race roundtrip chaos fuzz bench bench-sim bench-obs bench-check serve clean
+.PHONY: all tier1 fmt vet build test race roundtrip chaos fuzz bench bench-sim bench-obs bench-check serve clean
 
 all: tier1
 
-# tier1 is the repository's gating check: vet, build, full test suite
-# under the race detector, the persistence round-trip gate, the
+# tier1 is the repository's gating check: gofmt-clean sources, vet,
+# build, full test suite under the race detector, the persistence
+# round-trip gate, the
 # fault-injection chaos matrix, and a short randomised fuzz pass over
 # the input gates. Performance is gated separately: `make bench-obs
 # bench-check` re-measures the BENCH_*.json hot-path numbers and fails
 # if any metric regresses >10% against the committed bench/baseline.
-tier1: vet build race roundtrip chaos fuzz
+tier1: fmt vet build race roundtrip chaos fuzz
+
+# fmt fails when any Go file is not gofmt-clean, listing the files.
+fmt:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -61,10 +66,11 @@ bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$'
 
 # bench-sim is the MNA factor/step microbenchmark: one clock-tree
-# stage transient (RC and RLC) plus LU factor and solve, with
-# allocation counts.
+# stage transient (RC and RLC) run to the full horizon and stopped at
+# the last sink crossing, plus LU factor and solve, with allocation
+# counts.
 bench-sim:
-	$(GO) test -run '^$$' -bench 'Transient|Factor' -benchmem ./internal/sim ./internal/linalg
+	$(GO) test -run '^$$' -bench 'Transient|Crossings|Factor' -benchmem ./internal/sim ./internal/linalg
 
 # bench-obs runs the short hot-path pass guarding the instrumentation
 # layer's no-overhead requirement and writes BENCH_obs.json plus the

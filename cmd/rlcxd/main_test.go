@@ -10,6 +10,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"syscall"
@@ -123,24 +124,26 @@ func (d *daemon) post(t *testing.T, body string) (int, []byte) {
 	return resp.StatusCode, out
 }
 
-// inflightNonzero reports whether the daemon's /metrics shows at
-// least one request in the handlers.
-func inflightNonzero(addr string) bool {
+// metric returns the integer value of one of the daemon's /metrics
+// lines (-1 when /metrics cannot be read or lacks it).
+func metric(addr, name string) int {
 	resp, err := http.Get("http://" + addr + "/metrics")
 	if err != nil {
-		return false
+		return -1
 	}
 	defer resp.Body.Close()
 	body, err := io.ReadAll(resp.Body)
 	if err != nil {
-		return false
+		return -1
 	}
 	for _, line := range strings.Split(string(body), "\n") {
-		if f, ok := strings.CutPrefix(line, "clockrlc_serve_inflight "); ok {
-			return strings.TrimSpace(f) != "0"
+		if f, ok := strings.CutPrefix(line, name+" "); ok {
+			if n, err := strconv.Atoi(strings.TrimSpace(f)); err == nil {
+				return n
+			}
 		}
 	}
-	return false
+	return -1
 }
 
 func smallBatch(segments int) string {
@@ -176,6 +179,11 @@ func TestSIGTERMDrainsInFlightRequests(t *testing.T) {
 	if status, body := d.post(t, smallBatch(1)); status != http.StatusOK {
 		t.Fatalf("warmup: status %d: %s", status, body)
 	}
+	const hits = "clockrlc_serve_registry_hits"
+	hits0 := metric(d.addr, hits)
+	if hits0 < 0 {
+		t.Fatalf("no %s on /metrics", hits)
+	}
 
 	type result struct {
 		status int
@@ -198,11 +206,12 @@ func TestSIGTERMDrainsInFlightRequests(t *testing.T) {
 			results <- result{status: resp.StatusCode, body: body}
 		}()
 	}
-	// Stop the daemon only once the requests are demonstrably in the
-	// handlers (the inflight gauge on /metrics), so the drain is
-	// genuinely exercised.
+	// Stop the daemon only once all four requests are past the drain
+	// gate, so the drain is genuinely exercised: each takes a registry
+	// hit when it pins the warmed tables, which happens after the gate
+	// and admission. A request short of the gate would get 503 instead.
 	deadline := time.Now().Add(10 * time.Second)
-	for !inflightNonzero(d.addr) {
+	for metric(d.addr, hits) < hits0+4 {
 		if time.Now().After(deadline) {
 			t.Fatal("requests never went in flight")
 		}

@@ -9,7 +9,10 @@
 // (series resistance, the "about 40 ohm" of Fig. 1) launching a ramp,
 // plus an input capacitance loading the upstream stage and an
 // intrinsic delay. Stages are linear, so the tree is simulated stage
-// by stage and arrivals accumulate along root-to-leaf paths.
+// by stage and arrivals accumulate along root-to-leaf paths. A stage's
+// transient runs only until its last sink has crossed 50 %: the delay
+// metric is each sink's first crossing, which later samples cannot
+// change.
 package clocktree
 
 import (
@@ -111,9 +114,14 @@ type SimOptions struct {
 	WithL bool
 	// Sections per segment ladder (default 6).
 	Sections int
-	// TimeStep and Horizon for each stage transient (defaults
-	// OutSlew/100 and 40·OutSlew).
-	TimeStep, Horizon float64
+	// TimeStep is each stage transient's trapezoidal step (default
+	// OutSlew/100).
+	TimeStep float64
+	// Horizon caps each stage transient (default 40·OutSlew). It is a
+	// cap, not a run length: stepping stops at the stage's last sink
+	// 50 % crossing, and only a sink that has not switched by Horizon
+	// is an error.
+	Horizon float64
 	// Scale optionally perturbs a stage instance's extracted R, C and
 	// L by the given multipliers (process variation). The paper's
 	// proposal keeps L at 1 while R and C vary; setting the third
@@ -168,7 +176,10 @@ var (
 // simulateStage runs one buffer stage's transient: the driver at the
 // H centre, two trunk ladders, four arm ladders, four sink loads. It
 // returns the four sink 50 % arrival times measured from the stage's
-// launch. scale multiplies the extracted R/C/L of every wire in the
+// launch. The transient stops at the last sink's first 50 % crossing
+// (sim.CrossingsCtx), so a stage costs the steps up to its slowest
+// sink rather than the full horizon, with the same arrivals bit for
+// bit. scale multiplies the extracted R/C/L of every wire in the
 // stage; loads multiplies the four sink capacitances (1s for an
 // internal stage, whose sinks are the next level's buffer inputs).
 func (t *Tree) simulateStage(ctx context.Context, levelIdx int, stageID int64, opts SimOptions, scale [3]float64, loads [4]float64) ([4]float64, error) {
@@ -223,19 +234,15 @@ func (t *Tree) simulateStage(ctx context.Context, levelIdx int, stageID int64, o
 		}
 		nl.AddC("c"+s, s, netlist.Ground, t.Buffer.InputCap*loads[i])
 	}
-	res, err := sim.TransientCtx(ctx, nl, opts.TimeStep, opts.Horizon, sinks)
+	times, err := sim.CrossingsCtx(ctx, nl, opts.TimeStep, opts.Horizon, sinks, 0.5, true)
 	if err != nil {
+		var nc *sim.NoCrossingError
+		if errors.As(err, &nc) {
+			return delays, fmt.Errorf("clocktree: stage %d sink %s never switches (horizon too short?): %w", stageID, nc.Probe, err)
+		}
 		return delays, fmt.Errorf("clocktree: stage %d (level %d): %w", stageID, levelIdx, err)
 	}
-	for i, s := range sinks {
-		v, err := res.Waveform(s)
-		if err != nil {
-			return delays, err
-		}
-		d, err := sim.DelayFromT0(res.Time, v, 0, 1)
-		if err != nil {
-			return delays, fmt.Errorf("clocktree: stage %d sink %s never switches (horizon too short?): %w", stageID, s, err)
-		}
+	for i, d := range times {
 		// Remove the launch offset (the source starts one time step in).
 		delays[i] = d - opts.TimeStep
 	}

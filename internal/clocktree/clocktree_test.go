@@ -2,6 +2,7 @@ package clocktree
 
 import (
 	"math"
+	"strings"
 	"sync"
 	"testing"
 
@@ -204,5 +205,50 @@ func TestNewTreeValidation(t *testing.T) {
 	seg.SignalWidth = 0
 	if _, err := NewTree(HTreeLevels(units.Um(1000), 1, seg), testBuffer(), ext); err == nil {
 		t.Error("accepted bad segment profile")
+	}
+}
+
+// Horizon only caps each stage transient: stepping stops at the last
+// sink's 50 % crossing, so doubling it changes no arrival.
+func TestHorizonIsOnlyACap(t *testing.T) {
+	tr := testTree(t, 2)
+	opts := SimOptions{WithL: true, LeafLoadScale: map[int]float64{3: 2.5, 9: 0.6}}
+	report := func(horizon float64) SkewReport {
+		o := opts
+		o.Horizon = horizon
+		rep, err := tr.SkewReport(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+	short, long := report(40*tr.Buffer.OutSlew), report(80*tr.Buffer.OutSlew)
+	for _, f := range []struct {
+		name      string
+		got, want float64
+	}{
+		{"Skew", long.Skew, short.Skew},
+		{"MinArrival", long.MinArrival, short.MinArrival},
+		{"MaxArrival", long.MaxArrival, short.MaxArrival},
+	} {
+		if math.Float64bits(f.got) != math.Float64bits(f.want) {
+			t.Errorf("%s = %v at 80·OutSlew, %v at 40·OutSlew", f.name, f.got, f.want)
+		}
+	}
+	if long.MinLeaf != short.MinLeaf || long.MaxLeaf != short.MaxLeaf || long.Leaves != short.Leaves {
+		t.Errorf("leaves differ: %+v vs %+v", long, short)
+	}
+	if short.Skew <= 0 {
+		t.Errorf("degenerate skew %g: the load imbalance should show", short.Skew)
+	}
+}
+
+// A horizon too short for a sink to switch is an error naming the
+// stage and the sink.
+func TestHorizonTooShortNamesSink(t *testing.T) {
+	tr := testTree(t, 1)
+	_, err := tr.Arrivals(SimOptions{WithL: true, Horizon: tr.Buffer.OutSlew / 4})
+	if err == nil || !strings.Contains(err.Error(), "sink s0 never switches") {
+		t.Fatalf("want a never-switches error naming sink s0, got %v", err)
 	}
 }

@@ -479,7 +479,7 @@ func TestStateCodecRoundTrip(t *testing.T) {
 	}
 	w.stats.Hist[histBucket(1e-12)] = 7
 	w.memo = map[stageSig][4]float64{
-		{level: 1, scale: nominalScale, loads: nominalLoads}: {1, 2, 3, 4},
+		{level: 1, scale: nominalScale, loads: nominalLoads}:                    {1, 2, 3, 4},
 		{level: 2, scale: [3]float64{1.1, 1, 1}, loads: [4]float64{1, 2, 1, 1}}: {5, 6, 7, 8},
 	}
 	w.stack = []frame{

@@ -10,7 +10,9 @@
 // CSR.MulVecTo multiplies by a compressed matrix, so the per-step
 // solves and products of a transient simulation cost O(nnz) rather
 // than O(n²) — with the same floating-point results as the dense
-// loops. The complex solver stays fully dense.
+// loops. FactorInPlace eliminates in the caller's matrix, so a caller
+// that recycles its buffers factors without a dense allocation. The
+// complex solver stays fully dense.
 package linalg
 
 import (
@@ -166,11 +168,19 @@ func (f *LU) NNZ() int { return f.l.NNZ() + f.u.NNZ() + f.n }
 // Factor computes the LU factorization of square matrix a. The input
 // is not modified. It returns ErrSingular when a pivot underflows.
 func Factor(a *Matrix) (*LU, error) {
-	f, lu, err := eliminate(a)
+	return FactorInPlace(a.Clone())
+}
+
+// FactorInPlace is Factor using a itself as the elimination workspace:
+// it allocates no dense n×n buffer, and afterwards a holds scratch
+// (the packed factors, or a partial elimination on error). The returned
+// factorization keeps no reference to a, so a may be reused at once.
+func FactorInPlace(a *Matrix) (*LU, error) {
+	f, err := eliminate(a)
 	if err != nil {
 		return nil, err
 	}
-	n := f.n
+	n, lu := f.n, a.Data
 	lower, upper := 0, 0
 	for i := 0; i < n; i++ {
 		lower += countNonzero(lu[i*n : i*n+i])
@@ -186,21 +196,20 @@ func Factor(a *Matrix) (*LU, error) {
 	return f, nil
 }
 
-// eliminate runs dense Gaussian elimination with partial pivoting on a
-// copy of a. It returns the factorization's permutation and pivot
-// statistics, with the factors packed row-major into lu: L's multipliers
-// below the diagonal, U on and above it.
-func eliminate(a *Matrix) (*LU, []float64, error) {
+// eliminate runs dense Gaussian elimination with partial pivoting in
+// place on a. It returns the factorization's permutation and pivot
+// statistics, and leaves the factors packed row-major in a.Data: L's
+// multipliers below the diagonal, U on and above it.
+func eliminate(a *Matrix) (*LU, error) {
 	if a.Rows != a.Cols {
-		return nil, nil, fmt.Errorf("linalg: Factor needs a square matrix, got %d×%d", a.Rows, a.Cols)
+		return nil, fmt.Errorf("linalg: Factor needs a square matrix, got %d×%d", a.Rows, a.Cols)
 	}
 	if err := checkFinite(a.Data, a.Cols); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	n := a.Rows
 	f := &LU{n: n, swaps: make([]int, n), sign: 1, minPiv: math.Inf(1)}
-	lu := make([]float64, n*n)
-	copy(lu, a.Data)
+	lu := a.Data
 	for k := 0; k < n; k++ {
 		// Partial pivot: find the largest |value| in column k at or
 		// below the diagonal.
@@ -211,12 +220,12 @@ func eliminate(a *Matrix) (*LU, []float64, error) {
 			}
 		}
 		if max == 0 || math.IsNaN(max) {
-			return nil, nil, ErrSingular
+			return nil, ErrSingular
 		}
 		if math.IsInf(max, 0) {
 			// Finite input overflowed during elimination: the system is
 			// numerically hopeless, not merely rank-deficient.
-			return nil, nil, fmt.Errorf("pivot overflow in column %d: %w", k, ErrIllConditioned)
+			return nil, fmt.Errorf("pivot overflow in column %d: %w", k, ErrIllConditioned)
 		}
 		if max < f.minPiv {
 			f.minPiv = max
@@ -247,7 +256,7 @@ func eliminate(a *Matrix) (*LU, []float64, error) {
 			}
 		}
 	}
-	return f, lu, nil
+	return f, nil
 }
 
 // Solve solves A·x = b for a single right-hand side. b is not

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -96,10 +97,12 @@ func TestCompressedSolveMatchesDenseBits(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		ref, lu, err := eliminate(a)
+		packed := a.Clone()
+		ref, err := eliminate(packed)
 		if err != nil {
 			t.Fatal(err)
 		}
+		lu := packed.Data
 		if got, want := f.NNZ(), countNonzero(lu); got != want {
 			t.Fatalf("LU NNZ = %d, dense factors hold %d nonzeros", got, want)
 		}
@@ -114,6 +117,63 @@ func TestCompressedSolveMatchesDenseBits(t *testing.T) {
 			t.Fatal(err)
 		}
 		sameBits(t, "aliased SolveInPlace", b, want)
+	}
+}
+
+// FactorInPlace gives Factor's solves bit for bit, leaves the caller's
+// buffer free for reuse, and allocates no dense n×n copy.
+func TestFactorInPlaceMatchesFactor(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	const n = 60
+	a := sparseSystem(rng, n, 0.05)
+	f, err := Factor(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	work := a.Clone()
+	g, err := FactorInPlace(work)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Scribbling over the workspace must not reach the factorization.
+	for i := range work.Data {
+		work.Data[i] = math.NaN()
+	}
+	b := randomVec(rng, n)
+	want, err := f.Solve(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := g.Solve(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameBits(t, "FactorInPlace", got, want)
+
+	// The saving is exactly the dense copy Factor makes.
+	bytesPerCall := func(factor func() error) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < 10; i++ {
+			if err := factor(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / 10
+	}
+	inPlace := bytesPerCall(func() error {
+		copy(work.Data, a.Data)
+		_, err := FactorInPlace(work)
+		return err
+	})
+	copying := bytesPerCall(func() error {
+		_, err := Factor(a)
+		return err
+	})
+	if copying < inPlace+n*n*8 {
+		t.Fatalf("FactorInPlace allocates %d B per call, Factor %d B: want at least one dense %d×%d matrix (%d B) less",
+			inPlace, copying, n, n, n*n*8)
 	}
 }
 

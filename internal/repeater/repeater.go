@@ -14,6 +14,7 @@
 package repeater
 
 import (
+	"context"
 	"fmt"
 
 	"clockrlc/internal/core"
@@ -98,16 +99,11 @@ func DelayWithN(e *core.Extractor, s Spec, n int) (Point, error) {
 	nl.AddC("cl", "out", netlist.Ground, s.Buffer.InputCap)
 	tau := (s.Buffer.DriveRes + rlc.R) * (rlc.C + s.Buffer.InputCap)
 	horizon := 12*tau + 6*s.Buffer.OutSlew
-	res, err := sim.Transient(nl, s.Buffer.OutSlew/100, horizon, []string{"out"})
+	d, err := sim.CrossingsCtx(context.TODO(), nl, s.Buffer.OutSlew/100, horizon, []string{"out"}, 0.5, true)
 	if err != nil {
 		return Point{}, fmt.Errorf("repeater: n=%d: %w", n, err)
 	}
-	v, _ := res.Waveform("out")
-	d, err := sim.DelayFromT0(res.Time, v, 0, 1)
-	if err != nil {
-		return Point{}, fmt.Errorf("repeater: n=%d stage never switches: %w", n, err)
-	}
-	stage := d - (start + s.Buffer.OutSlew/2)
+	stage := d[0] - (start + s.Buffer.OutSlew/2)
 	return Point{
 		N:          n,
 		StageDelay: stage,

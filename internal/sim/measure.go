@@ -39,22 +39,33 @@ func CrossTime(t, v []float64, level float64, rising bool) (float64, error) {
 		return 0, errors.New("sim: CrossTime needs at least two samples")
 	}
 	for i := 1; i < len(t); i++ {
-		a, b := v[i-1], v[i]
-		var hit bool
-		if rising {
-			hit = a < level && b >= level
-		} else {
-			hit = a > level && b <= level
-		}
-		if hit {
-			if b == a {
-				return t[i], nil
-			}
-			f := (level - a) / (b - a)
-			return t[i-1] + f*(t[i]-t[i-1]), nil
+		if tc, ok := crossing(t[i-1], t[i], v[i-1], v[i], level, rising); ok {
+			return tc, nil
 		}
 	}
 	return 0, fmt.Errorf("sim: waveform never crosses %g", level)
+}
+
+// crossing reports whether the sample pair (t0, a) → (t1, b) crosses
+// level in the given direction and, if so, where, by linear
+// interpolation. CrossTime and CrossingsCtx both measure through it,
+// so a crossing found while stepping is bit for bit the one found on
+// the recorded waveform.
+func crossing(t0, t1, a, b, level float64, rising bool) (float64, bool) {
+	var hit bool
+	if rising {
+		hit = a < level && b >= level
+	} else {
+		hit = a > level && b <= level
+	}
+	if !hit {
+		return 0, false
+	}
+	if b == a {
+		return t1, true
+	}
+	f := (level - a) / (b - a)
+	return t0 + f*(t1-t0), true
 }
 
 // Delay50 returns the 50 %-swing delay from waveform "from" to

@@ -7,7 +7,14 @@
 // matrices of extracted ladders are almost empty, so G, C and the LU
 // factors are walked in compressed-row form: a step costs O(nnz), not
 // O(dim²), allocates nothing, and gives the same floating-point results
-// as the dense loop.
+// as the dense loop. The dense assembly buffers double as elimination
+// workspaces and are pooled across runs.
+//
+// One set-up and one step loop serve two entry points: TransientCtx
+// records the probed waveforms to the horizon, and CrossingsCtx keeps
+// only each probe's first threshold crossing and stops stepping once
+// every probe has crossed — a stage delay costs the steps up to its
+// slowest sink, with the same result bit for bit.
 package sim
 
 import (
@@ -15,6 +22,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 	"time"
 
 	"clockrlc/internal/linalg"
@@ -93,6 +101,8 @@ func nodeOf(m map[string]int, name string) int {
 	return m[name]
 }
 
+// assemble stamps nl into G and C, taking both dim×dim matrices from
+// densePool. A caller that keeps them simply never puts them back.
 func assemble(nl *netlist.Netlist) (*mna, error) {
 	if err := nl.Validate(); err != nil {
 		return nil, err
@@ -112,8 +122,8 @@ func assemble(nl *netlist.Netlist) (*mna, error) {
 	if m.dim == 0 {
 		return nil, errors.New("sim: empty circuit")
 	}
-	m.g = linalg.NewMatrix(m.dim, m.dim)
-	m.c = linalg.NewMatrix(m.dim, m.dim)
+	m.g = pooledDense(m.dim)
+	m.c = pooledDense(m.dim)
 
 	stampPair := func(mat *linalg.Matrix, a, b int, v float64) {
 		if a >= 0 {
@@ -213,11 +223,136 @@ func Transient(nl *netlist.Netlist, h, tstop float64, probes []string) (*Result,
 // returning poisoned waveforms (a non-finite solve also matches
 // linalg.ErrIllConditioned).
 func TransientCtx(ctx context.Context, nl *netlist.Netlist, h, tstop float64, probes []string) (*Result, error) {
+	steps, err := stepCount(h, tstop)
+	if err != nil {
+		return nil, err
+	}
+	res := &Result{
+		Time:   make([]float64, 0, steps+1),
+		Probes: make(map[string][]float64, len(probes)),
+	}
+	waves := make([][]float64, len(probes))
+	for k := range waves {
+		waves[k] = make([]float64, 0, steps+1)
+	}
+	err = simulate(ctx, nl, h, steps, probes, func(_ int, t float64, v []float64) bool {
+		res.Time = append(res.Time, t)
+		for k, x := range v {
+			waves[k] = append(waves[k], x)
+		}
+		return false
+	})
+	if err != nil {
+		return nil, err
+	}
+	for k, p := range probes {
+		res.Probes[p] = waves[k]
+	}
+	return res, nil
+}
+
+// NoCrossingError reports a probe whose voltage never crossed the
+// level by the end of a CrossingsCtx run.
+type NoCrossingError struct {
+	Probe        string
+	Level, Tstop float64
+}
+
+func (e *NoCrossingError) Error() string {
+	return fmt.Sprintf("sim: probe %q never crosses %g by t=%g s", e.Probe, e.Level, e.Tstop)
+}
+
+// CrossingsCtx runs the transient of TransientCtx but records no
+// waveform: it returns each probe's first crossing of level in the
+// given direction (rising: from below to at-or-above), interpolated as
+// CrossTime does, and stops stepping as soon as every probe has
+// crossed. A crossing depends only on the samples up to it, and every
+// step that runs is the step TransientCtx runs, so each time is bit for
+// bit what CrossTime (and for level = v0 + 0.5·(v1 − v0), DelayFromT0)
+// measures on the full waveform; tstop only caps the run. A probe that
+// has not crossed by tstop yields a *NoCrossingError naming it. The
+// cancellation and divergence guards are TransientCtx's, and an armed
+// check engine vets every crossing time as it vets DelayFromT0's.
+func CrossingsCtx(ctx context.Context, nl *netlist.Netlist, h, tstop float64, probes []string, level float64, rising bool) ([]float64, error) {
+	steps, err := stepCount(h, tstop)
+	if err != nil {
+		return nil, err
+	}
+	times := make([]float64, len(probes))
+	crossed := make([]bool, len(probes))
+	prev := make([]float64, len(probes))
+	var prevT float64
+	left := len(probes)
+	err = simulate(ctx, nl, h, steps, probes, func(n int, t float64, v []float64) bool {
+		if n > 0 {
+			for k, b := range v {
+				if crossed[k] {
+					continue
+				}
+				if tc, ok := crossing(prevT, t, prev[k], b, level, rising); ok {
+					times[k], crossed[k] = tc, true
+					left--
+				}
+			}
+		}
+		copy(prev, v)
+		prevT = t
+		return left == 0
+	})
+	if err != nil {
+		return nil, err
+	}
+	for k, p := range probes {
+		if !crossed[k] {
+			return nil, &NoCrossingError{Probe: p, Level: level, Tstop: float64(steps) * h}
+		}
+		if err := checkDelay("CrossingsCtx", times[k]); err != nil {
+			return nil, err
+		}
+	}
+	return times, nil
+}
+
+// stepCount validates a time grid and returns its number of steps.
+func stepCount(h, tstop float64) (int, error) {
+	if h <= 0 || tstop <= 0 || tstop < h {
+		return 0, fmt.Errorf("sim: bad time grid (h=%g, tstop=%g)", h, tstop)
+	}
+	return int(tstop/h + 0.5), nil
+}
+
+// densePool recycles the dense dim×dim assembly buffers of G and C
+// across transients. Both double as elimination workspaces (G for the
+// DC operating point, C's buffer for A = G + (2/h)·C), and everything
+// the step loop reads is copied out in compressed form, so the buffers
+// are pure scratch once set-up ends.
+var densePool = sync.Pool{New: func() any { return new(linalg.Matrix) }}
+
+// pooledDense returns a zeroed n×n matrix from densePool.
+func pooledDense(n int) *linalg.Matrix {
+	m := densePool.Get().(*linalg.Matrix)
+	if cap(m.Data) < n*n {
+		m.Data = make([]float64, n*n)
+	} else {
+		m.Data = m.Data[:n*n]
+		clear(m.Data)
+	}
+	m.Rows, m.Cols = n, n
+	return m
+}
+
+// simulate is the one set-up and step loop behind TransientCtx and
+// CrossingsCtx, traced as a sim.transient span. Set-up assembles the
+// MNA system, compresses G and C, solves the DC operating point and
+// factors the trapezoidal system matrix. visit then sees the probed
+// node voltages at step 0 (the DC operating point) and after each step
+// n at t = n·h; returning true stops the run there. The span's steps
+// attribute is the number of steps run, horizon_steps the number a
+// full run to tstop takes.
+func simulate(ctx context.Context, nl *netlist.Netlist, h float64, steps int, probes []string,
+	visit func(n int, t float64, v []float64) bool) error {
 	if ctx == nil {
 		ctx = context.Background()
-	}
-	if h <= 0 || tstop <= 0 || tstop < h {
-		return nil, fmt.Errorf("sim: bad time grid (h=%g, tstop=%g)", h, tstop)
 	}
 	_, sp := obs.StartCtx(ctx, "sim.transient")
 	defer sp.End()
@@ -226,7 +361,7 @@ func TransientCtx(ctx context.Context, nl *netlist.Netlist, h, tstop float64, pr
 	defer obs.SinceNs(simNs, time.Now())
 	m, err := assemble(nl)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	// G and C are assembled dense but are almost empty; every step
 	// multiplies by them, so compress them once.
@@ -242,60 +377,63 @@ func TransientCtx(ctx context.Context, nl *netlist.Netlist, h, tstop float64, pr
 			continue
 		}
 		if _, ok := m.nodeIdx[p]; !ok {
-			return nil, fmt.Errorf("sim: unknown probe node %q", p)
+			return fmt.Errorf("sim: unknown probe node %q", p)
 		}
 	}
 
-	// DC operating point: G·x = b(0).
+	// Trapezoidal system matrix A = G + (2/h)·C, built into C's buffer
+	// while G is still intact.
+	s := 2 / h
+	for i, gv := range m.g.Data {
+		m.c.Data[i] = gv + s*m.c.Data[i]
+	}
+
+	// DC operating point: G·x = b(0), eliminating in G's buffer.
 	b0 := make([]float64, m.dim)
 	m.rhs(0, b0)
-	gf, err := linalg.Factor(m.g)
+	gf, err := linalg.FactorInPlace(m.g)
 	simFactors.Inc()
 	if err != nil {
-		return nil, fmt.Errorf("sim: DC operating point is singular (floating node or inductor loop): %w", err)
+		return fmt.Errorf("sim: DC operating point is singular (floating node or inductor loop): %w", err)
 	}
 	x, err := gf.Solve(b0)
 	if err != nil {
-		return nil, solveErr(err, "sim: DC operating point")
+		return solveErr(err, "sim: DC operating point")
 	}
 
-	// Trapezoidal system matrix A = G + (2/h)·C, factored once.
-	a := m.g.Clone()
-	s := 2 / h
-	for i, v := range m.c.Data {
-		a.Data[i] += s * v
-	}
-	af, err := linalg.Factor(a)
+	// A is factored once; every step is one solve. The factors are
+	// copied out in compressed form, so both dense buffers go back.
+	af, err := linalg.FactorInPlace(m.c)
 	simFactors.Inc()
+	densePool.Put(m.g)
+	densePool.Put(m.c)
+	m.g, m.c = nil, nil
 	if err != nil {
-		return nil, fmt.Errorf("sim: transient matrix singular: %w", err)
+		return fmt.Errorf("sim: transient matrix singular: %w", err)
 	}
 	sp.SetAttr("lu_nnz", af.NNZ())
+	sp.SetAttr("horizon_steps", steps)
 
-	steps := int(tstop/h + 0.5)
-	// Bulk-add once per run; nothing observes inside the step loop.
-	simSteps.Add(int64(steps))
-	simStepsHist.Observe(float64(steps))
-	sp.SetAttr("steps", steps)
-	res := &Result{
-		Time:   make([]float64, 0, steps+1),
-		Probes: make(map[string][]float64, len(probes)),
-	}
-	waves := make([][]float64, len(probes))
-	for k := range waves {
-		waves[k] = make([]float64, 0, steps+1)
-	}
-	record := func(t float64, x []float64) {
-		res.Time = append(res.Time, t)
+	ran := 0
+	defer func() {
+		// Bulk-add once per run; nothing observes inside the step loop.
+		simSteps.Add(int64(ran))
+		simStepsHist.Observe(float64(ran))
+		sp.SetAttr("steps", ran)
+	}()
+	v := make([]float64, len(probes))
+	sample := func() []float64 {
 		for k, idx := range probeIdx {
-			var v float64
+			v[k] = 0
 			if idx >= 0 {
-				v = x[idx]
+				v[k] = x[idx]
 			}
-			waves[k] = append(waves[k], v)
 		}
+		return v
 	}
-	record(0, x)
+	if visit(0, 0, sample()) {
+		return nil
+	}
 
 	// The step loop allocates nothing: products, right-hand sides and
 	// the solve all land in these buffers.
@@ -306,7 +444,7 @@ func TransientCtx(ctx context.Context, nl *netlist.Netlist, h, tstop float64, pr
 	for n := 1; n <= steps; n++ {
 		if n%cancelCheckStride == 0 {
 			if err := ctx.Err(); err != nil {
-				return nil, err
+				return err
 			}
 		}
 		t0 := float64(n-1) * h
@@ -323,15 +461,15 @@ func TransientCtx(ctx context.Context, nl *netlist.Netlist, h, tstop float64, pr
 		}
 		if !finiteVec(rhsVec) {
 			simDiverged.Inc()
-			return nil, fmt.Errorf("sim: step %d (t=%g s): right-hand side non-finite (bad source?): %w", n, t1, ErrDiverged)
+			return fmt.Errorf("sim: step %d (t=%g s): right-hand side non-finite (bad source?): %w", n, t1, ErrDiverged)
 		}
 		if err := af.SolveInPlace(rhsVec, x); err != nil {
-			return nil, solveErr(err, fmt.Sprintf("sim: step %d (t=%g s)", n, t1))
+			return solveErr(err, fmt.Sprintf("sim: step %d (t=%g s)", n, t1))
 		}
-		record(t1, x)
+		ran = n
+		if visit(n, t1, sample()) {
+			return nil
+		}
 	}
-	for k, p := range probes {
-		res.Probes[p] = waves[k]
-	}
-	return res, nil
+	return nil
 }

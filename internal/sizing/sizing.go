@@ -123,7 +123,7 @@ func SweepWidthCtx(ctx context.Context, e *core.Extractor, s Spec, widths []floa
 		if err != nil {
 			return nil, fmt.Errorf("sizing: width %g: %w", w, err)
 		}
-		d, err := stageDelay(rlc, s, sections)
+		d, err := stageDelay(ctx, rlc, s, sections)
 		if err != nil {
 			return nil, fmt.Errorf("sizing: width %g: %w", w, err)
 		}
@@ -153,7 +153,7 @@ func OptimizeCtx(ctx context.Context, e *core.Extractor, s Spec, widths []float6
 }
 
 // stageDelay simulates one driver + ladder + load stage.
-func stageDelay(rlc netlist.SegmentRLC, s Spec, sections int) (float64, error) {
+func stageDelay(ctx context.Context, rlc netlist.SegmentRLC, s Spec, sections int) (float64, error) {
 	nl := netlist.New()
 	start := s.RiseTime / 10
 	nl.AddV("v", "drv", netlist.Ground, netlist.Ramp{V0: 0, V1: 1, Start: start, Rise: s.RiseTime})
@@ -165,14 +165,9 @@ func stageDelay(rlc netlist.SegmentRLC, s Spec, sections int) (float64, error) {
 	// The horizon must cover slow RC corners of the sweep.
 	tau := (s.DriveRes + rlc.R) * (rlc.C + s.LoadCap)
 	horizon := 10*tau + 4*s.RiseTime + 20*math.Sqrt(rlc.L*(rlc.C+s.LoadCap))
-	res, err := sim.Transient(nl, s.RiseTime/100, horizon, []string{"out"})
+	d, err := sim.CrossingsCtx(ctx, nl, s.RiseTime/100, horizon, []string{"out"}, 0.5, true)
 	if err != nil {
 		return 0, err
 	}
-	v, _ := res.Waveform("out")
-	d, err := sim.DelayFromT0(res.Time, v, 0, 1)
-	if err != nil {
-		return 0, err
-	}
-	return d - (start + s.RiseTime/2), nil
+	return d[0] - (start + s.RiseTime/2), nil
 }
