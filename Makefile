@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all tier1 fmt vet build test race roundtrip chaos fuzz bench bench-sim bench-obs bench-check serve clean
+.PHONY: all tier1 fmt vet build test race roundtrip chaos fuzz bench bench-sim bench-table bench-obs bench-check serve clean
 
 all: tier1
 
@@ -60,6 +60,8 @@ fuzz:
 	$(GO) test -run '^FuzzCodecV3LoadFile$$' -fuzz '^FuzzCodecV3LoadFile$$' -fuzztime $(FUZZTIME) ./internal/table
 	$(GO) test -run '^FuzzGridEvalReference$$' -fuzz '^FuzzGridEvalReference$$' -fuzztime $(FUZZTIME) ./internal/spline
 	$(GO) test -run '^FuzzGeometryValidate$$' -fuzz '^FuzzGeometryValidate$$' -fuzztime $(FUZZTIME) ./internal/core
+	$(GO) test -run '^FuzzBatchBody$$' -fuzz '^FuzzBatchBody$$' -fuzztime $(FUZZTIME) ./internal/serve
+	$(GO) test -run '^FuzzExtractBody$$' -fuzz '^FuzzExtractBody$$' -fuzztime $(FUZZTIME) ./internal/serve
 
 # bench runs the full experiment benchmark suite (slow).
 bench:
@@ -71,6 +73,12 @@ bench:
 # counts.
 bench-sim:
 	$(GO) test -run '^$$' -bench 'Transient|Crossings|Factor' -benchmem ./internal/sim ./internal/linalg
+
+# bench-table is the table-layer microbenchmark: the full post-load
+# audit of a default-axes set, and one cache map-in (a GetOrBuildCtx
+# hit plus Close) with checks off and at warn, with allocation counts.
+bench-table:
+	$(GO) test -run '^$$' -bench 'Audit|CacheOpen' -benchmem ./internal/table
 
 # bench-obs runs the short hot-path pass guarding the instrumentation
 # layer's no-overhead requirement and writes BENCH_obs.json plus the

@@ -287,11 +287,10 @@ func auditResumed(st *ArrivalStats, stackLen int, seq uint64) error {
 	if !eng.Armed() {
 		return nil
 	}
-	subject := fmt.Sprintf("checkpoint seq %d", seq)
 	report := func(inv, detail string) error {
 		return eng.Report(&check.Violation{
 			Stage: check.StageCheckpoint, Invariant: inv,
-			Subject: subject, Detail: detail,
+			Subject: fmt.Sprintf("checkpoint seq %d", seq), Detail: detail,
 		})
 	}
 	if st.Leaves < 0 || st.StagesSimulated < 0 || st.StagesDeduped < 0 {

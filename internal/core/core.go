@@ -49,6 +49,13 @@ var (
 // numerical failure (or worse, a silently wrong table entry).
 var ErrBadGeometry = errors.New("core: invalid geometry")
 
+// ErrUnphysical marks an extraction whose lumped R, L or C came out
+// non-finite or of the wrong sign for a geometry that passed
+// validation: a segment so far outside the tables' axes that spline
+// extrapolation, or the closed-form R/C models, leave the physical
+// range.
+var ErrUnphysical = errors.New("core: extracted values unphysical")
+
 // checkDim validates one named geometric field.
 func checkDim(what, field string, v float64) error {
 	switch {
@@ -394,14 +401,15 @@ func (e *Extractor) LoopLCtx(ctx context.Context, s Segment) (float64, error) {
 // composed loop inductance must come out finite and positive. A
 // violation here means the table entries are individually plausible
 // but mutually inconsistent — exactly what a per-value check cannot
-// see.
+// see. The segment label is formatted only inside report, so clean
+// values cost the comparisons alone.
 func checkLoopComposition(eng *check.Engine, s Segment, ls, lg, msg, mgg, lloop float64) error {
-	subject := fmt.Sprintf("segment (%v, l=%g, ws=%g, wg=%g, s=%g)",
-		s.Shielding, s.Length, s.SignalWidth, s.GroundWidth, s.Spacing)
 	report := func(invariant, detail string) error {
 		return eng.Report(&check.Violation{
 			Stage: check.StageSegment, Invariant: invariant,
-			Subject: subject, Detail: detail,
+			Subject: fmt.Sprintf("segment (%v, l=%g, ws=%g, wg=%g, s=%g)",
+				s.Shielding, s.Length, s.SignalWidth, s.GroundWidth, s.Spacing),
+			Detail: detail,
 		})
 	}
 	if ls > 0 && lg > 0 {
@@ -486,6 +494,15 @@ func (e *Extractor) Block(s Segment) (*geom.Block, error) {
 	default:
 		return nil, fmt.Errorf("core: unsupported shielding %v", s.Shielding)
 	}
+	// Widths many orders of magnitude above the spacing lose the gap
+	// to rounding once the traces are placed: the block would have
+	// touching traces that no capacitance or field model accepts.
+	for i := 1; i < len(blk.Traces); i++ {
+		if gap := blk.Traces[i].EdgeToEdgeSpacing(blk.Traces[i-1]); !(gap > 0) || math.IsInf(gap, 0) {
+			return nil, fmt.Errorf("%w: segment spacing %g is lost against widths %g and %g (placed gap %g)",
+				ErrBadGeometry, s.Spacing, s.SignalWidth, s.GroundWidth, gap)
+		}
+	}
 	return blk, nil
 }
 
@@ -522,7 +539,7 @@ func (e *Extractor) SegmentRLCCtx(ctx context.Context, s Segment) (netlist.Segme
 	}
 	out := netlist.SegmentRLC{R: r, L: l, C: c}
 	if err := out.Validate(); err != nil {
-		return netlist.SegmentRLC{}, fmt.Errorf("core: extracted values unphysical: %w", err)
+		return netlist.SegmentRLC{}, fmt.Errorf("%w: %w", ErrUnphysical, err)
 	}
 	return out, nil
 }
@@ -555,7 +572,7 @@ func (e *Extractor) SegmentRCOnlyCtx(ctx context.Context, s Segment) (netlist.Se
 	}
 	out := netlist.SegmentRLC{R: r, C: c}
 	if err := out.Validate(); err != nil {
-		return netlist.SegmentRLC{}, fmt.Errorf("core: extracted values unphysical: %w", err)
+		return netlist.SegmentRLC{}, fmt.Errorf("%w: %w", ErrUnphysical, err)
 	}
 	return out, nil
 }

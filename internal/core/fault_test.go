@@ -43,6 +43,42 @@ func TestSegmentValidationNamesTheField(t *testing.T) {
 	}
 }
 
+// A gap many orders of magnitude below the widths rounds away once
+// the traces are placed; the block gate refuses it as bad geometry
+// instead of handing touching traces to the capacitance model.
+func TestBlockRejectsGapLostToRounding(t *testing.T) {
+	e := newTestExtractor(t, []geom.Shielding{geom.ShieldNone})
+	seg := fig1Segment()
+	seg.SignalWidth = 1e294
+	if err := seg.Validate(); err != nil {
+		t.Fatalf("the segment itself is valid: %v", err)
+	}
+	_, err := e.Block(seg)
+	if !errors.Is(err, ErrBadGeometry) || !strings.Contains(err.Error(), "spacing") {
+		t.Fatalf("want ErrBadGeometry naming the spacing, got %v", err)
+	}
+	if _, err := e.SegmentRLC(seg); !errors.Is(err, ErrBadGeometry) {
+		t.Fatalf("SegmentRLC: want ErrBadGeometry, got %v", err)
+	}
+}
+
+// An extraction that leaves the physical range for a valid geometry
+// unwraps to ErrUnphysical on the scalar and the batch path, with the
+// historical message text.
+func TestUnphysicalExtractionUnwraps(t *testing.T) {
+	e := newTestExtractor(t, []geom.Shielding{geom.ShieldNone})
+	e.Configure(WithLookupPolicy(table.LookupClamp))
+	seg := Segment{Length: 1e-306, SignalWidth: 1e-306, GroundWidth: 1e-306, Spacing: 1e-306}
+	_, err := e.SegmentRLC(seg)
+	if !errors.Is(err, ErrUnphysical) || !strings.HasPrefix(err.Error(), "core: extracted values unphysical: netlist:") {
+		t.Fatalf("scalar: want ErrUnphysical, got %v", err)
+	}
+	_, err = e.SegmentsRLC([]Segment{fig1Segment(), seg})
+	if !errors.Is(err, ErrUnphysical) || !strings.HasPrefix(err.Error(), "core: batch segment 1: core: extracted values unphysical: netlist:") {
+		t.Fatalf("batch: want ErrUnphysical naming segment 1, got %v", err)
+	}
+}
+
 func TestTechnologyValidationNamesTheField(t *testing.T) {
 	tech := testTech()
 	tech.Rho = math.NaN()

@@ -210,7 +210,7 @@ func (e *Extractor) segmentsRLCVectorized(ctx context.Context, segs []Segment) (
 	for i := range out {
 		out[i].L = ls[i]
 		if err := out[i].Validate(); err != nil {
-			return nil, fmt.Errorf("core: batch segment %d: core: extracted values unphysical: %w", i, err)
+			return nil, fmt.Errorf("core: batch segment %d: %w: %w", i, ErrUnphysical, err)
 		}
 	}
 	segmentsExtracted.Add(int64(len(segs)))

@@ -9,6 +9,7 @@ package netlist
 import (
 	"errors"
 	"fmt"
+	"math"
 )
 
 // Ground is the reserved ground node name.
@@ -239,9 +240,11 @@ type SegmentRLC struct {
 }
 
 // Validate checks physical signs. A zero L is allowed (RC-only
-// netlists); R and C must be positive.
+// netlists); R and C must be positive. All three must be finite (NaN
+// fails every comparison, so it is tested as the negation).
 func (s SegmentRLC) Validate() error {
-	if s.R <= 0 || s.C <= 0 || s.L < 0 {
+	if !(s.R > 0) || !(s.C > 0) || !(s.L >= 0) ||
+		math.IsInf(s.R, 0) || math.IsInf(s.L, 0) || math.IsInf(s.C, 0) {
 		return fmt.Errorf("netlist: segment RLC out of range (R=%g, L=%g, C=%g)", s.R, s.L, s.C)
 	}
 	return nil

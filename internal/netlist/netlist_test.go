@@ -158,3 +158,24 @@ func TestAddLadderErrors(t *testing.T) {
 		t.Error("accepted negative inductance segment")
 	}
 }
+
+// Non-finite values fail every sign test NaN-style, so Validate names
+// them explicitly: a NaN or Inf R, L or C is out of range.
+func TestSegmentRLCValidateRejectsNonFinite(t *testing.T) {
+	ok := SegmentRLC{R: 1, L: 1e-9, C: 1e-15}
+	if err := ok.Validate(); err != nil {
+		t.Fatalf("finite segment rejected: %v", err)
+	}
+	for _, bad := range []SegmentRLC{
+		{R: math.NaN(), L: 1e-9, C: 1e-15},
+		{R: math.Inf(1), L: 1e-9, C: 1e-15},
+		{R: 1, L: math.NaN(), C: 1e-15},
+		{R: 1, L: math.Inf(1), C: 1e-15},
+		{R: 1, L: 1e-9, C: math.NaN()},
+		{R: 1, L: 1e-9, C: math.Inf(1)},
+	} {
+		if err := bad.Validate(); err == nil {
+			t.Errorf("accepted non-finite segment %+v", bad)
+		}
+	}
+}

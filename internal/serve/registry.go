@@ -95,8 +95,11 @@ type RegistryOptions struct {
 	// Cache may be nil: misses then build in memory without
 	// persistence.
 	Cache *table.Cache
-	// MaxSets bounds the resident set count (approximately: the bound
-	// is enforced per shard); 0 means unbounded.
+	// MaxSets bounds the resident set count per shard: each of the
+	// regShardCount shards keeps at most ⌈MaxSets/regShardCount⌉ ready
+	// sets and evicts its own least recently used entry, so up to
+	// regShardCount·⌈MaxSets/regShardCount⌉ sets can be resident (4
+	// keeps up to 8). 0 means unbounded.
 	MaxSets int
 	// Observer routes fill spans (nil selects the default observer).
 	Observer *obs.Observer

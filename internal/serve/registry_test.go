@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"clockrlc/internal/check"
 	"clockrlc/internal/fault"
 	"clockrlc/internal/geom"
 	"clockrlc/internal/obs"
@@ -231,6 +232,61 @@ func TestRegistryEvictionRespectsRefcounts(t *testing.T) {
 	}
 	if n := r.Len(); n != 0 {
 		t.Errorf("Len after Close = %d, want 0", n)
+	}
+}
+
+// Every map-in is audited: under Warn, each registry miss that maps
+// an evicted set back in from the cache advances table.audits by
+// exactly one. The audit got cheaper; it is neither skipped nor
+// remembered across map-ins.
+func TestRegistryAuditsEveryMapIn(t *testing.T) {
+	prev := check.Active().Policy()
+	check.SetPolicy(check.Warn)
+	t.Cleanup(func() { check.SetPolicy(prev) })
+
+	cache, err := table.NewCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	cfgA, axes := testTableConfig(), testAxes()
+	r := NewRegistry(RegistryOptions{Cache: cache, MaxSets: 1}) // perShard = 1
+	cfgB := sameShardConfig(t, r, cfgA, axes)
+	for _, cfg := range []table.Config{cfgA, cfgB} {
+		warm, err := cache.GetOrBuildCtx(ctx, cfg, axes, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		warm.Close()
+	}
+
+	audits := obs.GetCounter("table.audits")
+	audits0, misses0, violations0 := audits.Value(), regMisses.Value(), check.Violations()
+	const rounds = 5
+	for i := 0; i < rounds; i++ {
+		for _, cfg := range []table.Config{cfgA, cfgB} {
+			s, rel, err := r.Acquire(ctx, cfg, axes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !s.Mapped() {
+				t.Fatal("registry fill is not a cache map-in")
+			}
+			rel()
+		}
+	}
+	misses := regMisses.Value() - misses0
+	if misses != 2*rounds {
+		t.Fatalf("misses = %d, want %d: the two keys share one slot, so every acquire maps in", misses, 2*rounds)
+	}
+	if d := audits.Value() - audits0; d != misses {
+		t.Errorf("table.audits advanced %d over %d map-ins, want one audit per map-in", d, misses)
+	}
+	if d := check.Violations() - violations0; d != 0 {
+		t.Errorf("clean sets reported %d violations", d)
+	}
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 

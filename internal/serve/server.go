@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"strconv"
@@ -61,8 +62,9 @@ type Config struct {
 	// Cache is the content-addressed on-disk cache backing the
 	// registry; nil builds tables in memory only.
 	Cache *table.Cache
-	// MaxSets bounds the registry's resident table sets (0 =
-	// unbounded); evicted sets munmap once their last request ends.
+	// MaxSets bounds the registry's resident table sets per shard
+	// (see RegistryOptions.MaxSets; 0 = unbounded); evicted sets
+	// munmap once their last request ends.
 	MaxSets int
 	// Workers bounds each request's extraction fan-out and any table
 	// build's sweep pool (0 = GOMAXPROCS).
@@ -452,6 +454,9 @@ func (s *Server) extract(ctx context.Context, req BatchRequest) ([]netlist.Segme
 		lookup = p
 	}
 	freq := units.SignificantFrequency(req.RiseTimePs * units.PicoSecond)
+	if freq <= 0 || math.IsInf(freq, 0) {
+		return nil, &badRequestError{fmt.Errorf("rise_time_ps %g gives no finite significant frequency", req.RiseTimePs)}
+	}
 
 	segs := make([]core.Segment, len(req.Segments))
 	needed := map[geom.Shielding]bool{}
@@ -533,10 +538,19 @@ func toResult(rlc netlist.SegmentRLC) SegmentResult {
 	return SegmentResult{ROhm: rlc.R, LH: rlc.L, CF: rlc.C}
 }
 
+// decodeJSON reads the request body as exactly one JSON value:
+// unknown fields and anything but whitespace after the value are a
+// 400, never silently ignored.
 func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
+	err := dec.Decode(v)
+	if err == nil {
+		if _, terr := dec.Token(); terr != io.EOF {
+			err = errors.New("trailing data after the JSON value")
+		}
+	}
+	if err != nil {
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad request body: " + err.Error()})
 		srvErrors.Inc()
 		return false
@@ -559,7 +573,8 @@ func retryAfterValue(d time.Duration) string {
 // contract:
 //
 //	400  malformed request, bad geometry, bad timeout_ms
-//	422  out-of-range lookup (error policy), strict-check violation
+//	422  out-of-range lookup (error policy), strict-check violation,
+//	     non-finite or unphysical extracted R/L/C
 //	429  shed by admission control            (+ Retry-After)
 //	499  client disconnected before the response
 //	503  request budget exceeded, cold-build failure, breaker open,
@@ -582,7 +597,8 @@ func (s *Server) writeRequestError(w http.ResponseWriter, r *http.Request, reqCt
 	switch {
 	case errors.As(err, &bad), errors.Is(err, core.ErrBadGeometry):
 		status = http.StatusBadRequest
-	case errors.Is(err, table.ErrOutOfRange), errors.Is(err, check.ErrViolation):
+	case errors.Is(err, table.ErrOutOfRange), errors.Is(err, check.ErrViolation),
+		errors.Is(err, core.ErrUnphysical):
 		status = http.StatusUnprocessableEntity
 	case errors.As(err, &shed):
 		status = http.StatusTooManyRequests

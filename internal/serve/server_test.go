@@ -252,6 +252,10 @@ func TestBadRequests(t *testing.T) {
 		"bad check":       {"/v1/batch", `{"rise_time_ps": 50, "check": "maybe", "segments": [{"length_um": 500, "signal_width_um": 2, "ground_width_um": 2, "spacing_um": 1.5}]}`, "maybe"},
 		"bad lookup":      {"/v1/batch", `{"rise_time_ps": 50, "lookup_policy": "guess", "segments": [{"length_um": 500, "signal_width_um": 2, "ground_width_um": 2, "spacing_um": 1.5}]}`, "guess"},
 		"extract no body": {"/v1/extract", ``, "bad request body"},
+		// 0.32/(1e-300 ps) overflows: no table can be keyed on it.
+		"rise time without a frequency": {"/v1/batch", `{"rise_time_ps": 1e-300, "segments": [{"length_um": 500, "signal_width_um": 2, "ground_width_um": 2, "spacing_um": 1.5}]}`, "significant frequency"},
+		// A 1e300 µm signal trace swallows the 1.5 µm gap once placed.
+		"gap lost to rounding": {"/v1/batch", `{"rise_time_ps": 50, "segments": [{"length_um": 500, "signal_width_um": 1e300, "ground_width_um": 2, "spacing_um": 1.5}]}`, "invalid geometry"},
 	} {
 		resp, err := http.Post(ts.URL+tc.path, "application/json", strings.NewReader(tc.body))
 		if err != nil {
@@ -269,6 +273,71 @@ func TestBadRequests(t *testing.T) {
 		if err := json.Unmarshal(body, &e); err != nil || e.Error == "" {
 			t.Errorf("%s: error body is not {\"error\": ...}: %s", name, body)
 		}
+	}
+}
+
+// A request body is exactly one JSON value: trailing whitespace is
+// fine, anything else after the value (garbage, or a second object
+// that would otherwise be silently ignored) is a 400 on both
+// endpoints.
+func TestRequestBodyIsOneJSONValue(t *testing.T) {
+	s := newTestServer(t)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	for path, valid := range map[string]string{
+		"/v1/batch":   `{"rise_time_ps": 50, "segments": [{"length_um": 500, "signal_width_um": 2, "ground_width_um": 2, "spacing_um": 1.5}]}`,
+		"/v1/extract": `{"rise_time_ps": 50, "length_um": 500, "signal_width_um": 2, "ground_width_um": 2, "spacing_um": 1.5}`,
+	} {
+		for _, tc := range []struct {
+			tail string
+			want int
+		}{
+			{" \n\t\r\n", http.StatusOK},
+			{" trailing garbage", http.StatusBadRequest},
+			{`{"rise_time_ps":-1}`, http.StatusBadRequest},
+			{"]", http.StatusBadRequest},
+		} {
+			resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(valid+tc.tail))
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != tc.want {
+				t.Errorf("%s + %q: status %d, want %d: %s", path, tc.tail, resp.StatusCode, tc.want, body)
+				continue
+			}
+			if tc.want == http.StatusBadRequest && !strings.Contains(string(body), "bad request body: trailing data") {
+				t.Errorf("%s + %q: body %s does not name the trailing data", path, tc.tail, body)
+			}
+		}
+	}
+}
+
+// A validated geometry whose extraction leaves the physical range
+// (here: clamped lookups, but a 1e-300 µm cross-section whose R and C
+// overflow) is unprocessable, never a 500 or a 200 whose non-finite
+// values JSON cannot carry.
+func TestUnphysicalExtractionIs422(t *testing.T) {
+	s := newTestServer(t)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	resp, err := http.Post(ts.URL+"/v1/batch", "application/json", strings.NewReader(
+		`{"rise_time_ps": 50, "lookup_policy": "clamp", "segments": [`+
+			`{"length_um": 500, "signal_width_um": 2, "ground_width_um": 2, "spacing_um": 1.5},`+
+			`{"length_um": 1e-300, "signal_width_um": 1e-300, "ground_width_um": 1e-300, "spacing_um": 1e-300}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusUnprocessableEntity {
+		t.Fatalf("status %d, want 422: %s", resp.StatusCode, body)
+	}
+	if !strings.Contains(string(body), "batch segment 1") || !strings.Contains(string(body), "unphysical") {
+		t.Errorf("error does not name the unphysical segment: %s", body)
 	}
 }
 

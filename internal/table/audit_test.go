@@ -266,3 +266,154 @@ func TestBuildAuditHookStrictClean(t *testing.T) {
 		t.Fatal("nil set")
 	}
 }
+
+// auditMsg is one violation's label, as the audit reports it.
+type auditMsg struct{ invariant, cell, detail string }
+
+// TestAuditGoldenMessages pins every audit invariant's labels byte for
+// byte: one corruption per case and the complete, ordered violation
+// list it yields. The strings are the audit's output from before
+// labels were built lazily, so moving the formatting into the
+// violation branches provably changed no message.
+func TestAuditGoldenMessages(t *testing.T) {
+	const subject = `table "m6/synthetic"`
+	cases := []struct {
+		name    string
+		corrupt func(t *testing.T) *Set
+		want    []auditMsg
+	}{
+		{"self positive", func(t *testing.T) *Set {
+			s := syntheticSet(t)
+			s.Self.Vals[1*3+0] = -1e-10
+			rebuildSelf(t, s)
+			return s
+		}, []auditMsg{
+			{"self inductance positive", "self[1,0] (w=2e-06, l=9.999999999999999e-05)", "L = -1e-10"},
+		}},
+		{"self finite, spline finite", func(t *testing.T) *Set {
+			s := syntheticSet(t)
+			s.Self.Vals[0*3+2] = math.NaN()
+			rebuildSelf(t, s)
+			return s
+		}, []auditMsg{
+			{"self inductance finite", "self[0,2] (w=1e-06, l=0.0015999999999999999)", "L = NaN"},
+			{"self spline finite between knots", "self spline (w=1e-06, l between 9.999999999999999e-05 and 0.00039999999999999996)", "eval = NaN"},
+			{"self spline finite between knots", "self spline (w=2e-06, l between 9.999999999999999e-05 and 0.00039999999999999996)", "eval = NaN"},
+			{"self spline finite between knots", "self spline (w=2e-06, l between 0.00039999999999999996 and 0.0015999999999999999)", "eval = NaN"},
+			{"self spline finite between knots", "self spline (w=4e-06, l between 9.999999999999999e-05 and 0.00039999999999999996)", "eval = NaN"},
+			{"self spline finite between knots", "self spline (w=4e-06, l between 0.00039999999999999996 and 0.0015999999999999999)", "eval = NaN"},
+		}},
+		{"self monotone", func(t *testing.T) *Set {
+			s := syntheticSet(t)
+			s.Self.Vals[2*3+1], s.Self.Vals[2*3+2] = s.Self.Vals[2*3+2], s.Self.Vals[2*3+1]
+			rebuildSelf(t, s)
+			return s
+		}, []auditMsg{
+			{"self inductance monotone non-decreasing in length", "self[2,2] (w=4e-06, l=0.0015999999999999999)",
+				"L(l=0.0015999999999999999) = 4.638653893238429e-10 < L(l=0.00039999999999999996) = 2.2990757528537365e-09"},
+			{"mutual coupling k < 1", "mutual[2,2,0,2] (w1=4e-06, w2=4e-06, s=1e-06, l=0.0015999999999999999)",
+				"k = |M|/sqrt(L1*L2) = 1.487 (M=6.897227258561209e-10, L1=4.638653893238429e-10, L2=4.638653893238429e-10)"},
+		}},
+		{"spline spike, spline positive", func(t *testing.T) *Set {
+			s := syntheticSetAxes(t, Axes{
+				Widths:   []float64{units.Um(1), units.Um(2)},
+				Spacings: []float64{units.Um(1), units.Um(2)},
+				Lengths:  LogAxis(units.Um(100), units.Um(3200), 6),
+			})
+			s.Self.Vals[0*6+3] *= 50
+			rebuildSelf(t, s)
+			return s
+		}, []auditMsg{
+			{"self inductance monotone non-decreasing in length", "self[0,4] (w=1e-06, l=0.0015999999999999992)",
+				"L(l=0.0015999999999999992) = 2.7426899484121e-09 < L(l=0.0007999999999999995) = 6.302207126582292e-08"},
+			{"self spline free of spikes between knots", "self spline (w=1e-06, l between 9.999999999999999e-05 and 0.00019999999999999985)",
+				"eval = 3.8738700465577845e-10 outside knot envelope [1.1596634733096072e-10, 2.5965858188431903e-10]"},
+			{"self spline positive between knots", "self spline (w=1e-06, l between 0.00019999999999999985 and 0.0003999999999999997)",
+				"eval = -1.2117117396814005e-09"},
+			{"self spline positive between knots", "self spline (w=1e-06, l between 0.0015999999999999992 and 0.0031999999999999997)",
+				"eval = -3.489459631312181e-08"},
+		}},
+		{"mutual symmetric", func(t *testing.T) *Set {
+			s := syntheticSet(t)
+			s.Mutual.Vals[((0*3+1)*2+1)*3+1] *= 1.25
+			return s
+		}, []auditMsg{
+			{"mutual inductance symmetric in (w1, w2)", "mutual[0,1,1,1] (w1=1e-06, w2=2e-06, s=2e-06, l=0.00039999999999999996)",
+				"M(w1,w2) = 1.0243874643342149e-10 but M(w2,w1) = 8.19509971467372e-11"},
+		}},
+		{"mutual k < 1", func(t *testing.T) *Set {
+			s := syntheticSet(t)
+			s.Mutual.Vals[((1*3+1)*2+0)*3+2] = 1.5 * s.Self.Vals[1*3+2]
+			return s
+		}, []auditMsg{
+			{"mutual coupling k < 1", "mutual[1,1,0,2] (w1=2e-06, w2=2e-06, s=1e-06, l=0.0015999999999999999)",
+				"k = |M|/sqrt(L1*L2) = 1.5 (M=3.781324275949379e-09, L1=2.520882850632919e-09, L2=2.520882850632919e-09)"},
+		}},
+		{"mutual finite", func(t *testing.T) *Set {
+			s := syntheticSet(t)
+			s.Mutual.Vals[((2*3+0)*2+1)*3+0] = math.NaN()
+			return s
+		}, []auditMsg{
+			{"mutual inductance finite", "mutual[2,0,1,0] (w1=4e-06, w2=1e-06, s=2e-06, l=9.999999999999999e-05)", "M = NaN"},
+		}},
+		{"mutual non-negative", func(t *testing.T) *Set {
+			s := syntheticSet(t)
+			s.Mutual.Vals[((1*3+2)*2+0)*3+1] = -1e-12
+			return s
+		}, []auditMsg{
+			{"mutual inductance non-negative", "mutual[1,2,0,1] (w1=2e-06, w2=4e-06, s=1e-06, l=0.00039999999999999996)", "M = -1e-12"},
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			vs := tc.corrupt(t).Audit()
+			if len(vs) != len(tc.want) {
+				t.Fatalf("%d violations, want %d: %v", len(vs), len(tc.want), auditInvariants(vs))
+			}
+			for i, v := range vs {
+				w := tc.want[i]
+				if v.Stage != check.StageTableAudit || v.Invariant != w.invariant || v.Subject != subject ||
+					v.Cell != w.cell || v.Detail != w.detail {
+					t.Errorf("violation %d:\n got %s | %q | %q | %q | %q\nwant %s | %q | %q | %q | %q",
+						i, v.Stage, v.Invariant, v.Subject, v.Cell, v.Detail,
+						check.StageTableAudit, w.invariant, subject, w.cell, w.detail)
+				}
+			}
+		})
+	}
+}
+
+// A clean audit pays only for its comparisons and spline samples: it
+// allocates the same small constant on the 2×2×3 tiny axes as on the
+// 6×6×8 default axes, whose 1,818 checked cells (48 self, 42 spline
+// probes, 1,728 mutual) would otherwise each format a label.
+func TestAuditCleanAllocationsIndependentOfSize(t *testing.T) {
+	tiny := syntheticSetAxes(t, tinyAxes())
+	def := syntheticSetAxes(t, DefaultAxes())
+	for _, s := range []*Set{tiny, def} {
+		if vs := s.Audit(); len(vs) != 0 {
+			t.Fatalf("synthetic set is not clean: %v", auditInvariants(vs))
+		}
+	}
+	aTiny := testing.AllocsPerRun(20, func() { tiny.Audit() })
+	aDef := testing.AllocsPerRun(20, func() { def.Audit() })
+	if aTiny != aDef || aDef > 4 {
+		t.Errorf("clean audit allocations: tiny axes %v, default axes %v; want equal and at most 4", aTiny, aDef)
+	}
+}
+
+// BenchmarkAudit times the full post-load audit of a clean set built
+// on the default axes.
+func BenchmarkAudit(b *testing.B) {
+	s, err := Build(freeConfig(), DefaultAxes())
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if vs := s.Audit(); len(vs) != 0 {
+			b.Fatal(auditInvariants(vs))
+		}
+	}
+}

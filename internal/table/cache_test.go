@@ -1,11 +1,13 @@
 package table
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"clockrlc/internal/check"
 	"clockrlc/internal/units"
 )
 
@@ -236,5 +238,38 @@ func TestCacheValidation(t *testing.T) {
 	}
 	if !strings.HasPrefix(filepath.Base(c.Path("abc")), "abc") {
 		t.Errorf("Path(%q) = %q", "abc", c.Path("abc"))
+	}
+}
+
+// BenchmarkCacheOpen times one map-in of a warm cache entry on the
+// default axes: a GetOrBuildCtx hit (open, mmap, checksum, and under
+// an armed policy the post-load audit) plus the Close that unmaps it,
+// which is what the daemon's registry pays when it maps an evicted set
+// back in.
+func BenchmarkCacheOpen(b *testing.B) {
+	c, err := NewCache(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx, cfg, axes := context.Background(), freeConfig(), DefaultAxes()
+	s, err := c.GetOrBuildCtx(ctx, cfg, axes, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	s.Close()
+	prev := check.Active().Policy()
+	defer check.SetPolicy(prev)
+	for _, p := range []check.Policy{check.Off, check.Warn} {
+		b.Run(p.String(), func(b *testing.B) {
+			check.SetPolicy(p)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				s, err := c.GetOrBuildCtx(ctx, cfg, axes, nil)
+				if err != nil {
+					b.Fatal(err)
+				}
+				s.Close()
+			}
+		})
 	}
 }
