@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all tier1 fmt vet build test race roundtrip chaos fuzz bench bench-sim bench-table bench-obs bench-check serve clean
+.PHONY: all tier1 fmt vet build test race roundtrip chaos fuzz bench bench-sim bench-table serve
 
 all: tier1
 
@@ -8,9 +8,8 @@ all: tier1
 # build, full test suite under the race detector, the persistence
 # round-trip gate, the
 # fault-injection chaos matrix, and a short randomised fuzz pass over
-# the input gates. Performance is gated separately: `make bench-obs
-# bench-check` re-measures the BENCH_*.json hot-path numbers and fails
-# if any metric regresses >10% against the committed bench/baseline.
+# the input gates. Performance is measured separately, end to end and
+# per layer, by `bash rlcbench/run.sh` (see BENCHMARK.json).
 tier1: fmt vet build race roundtrip chaos fuzz
 
 # fmt fails when any Go file is not gofmt-clean, listing the files.
@@ -80,34 +79,10 @@ bench-sim:
 bench-table:
 	$(GO) test -run '^$$' -bench 'Audit|CacheOpen' -benchmem ./internal/table
 
-# bench-obs runs the short hot-path pass guarding the instrumentation
-# layer's no-overhead requirement and writes BENCH_obs.json plus the
-# spline-lookup/parallel-build numbers in BENCH_spline.json, the
-# cold-vs-cache-hit extractor construction numbers in BENCH_cache.json,
-# the fault/check-layer ratios, the ctx-span trace-overhead numbers in
-# BENCH_trace.json, the end-to-end daemon throughput/latency numbers in
-# BENCH_serve.json, the overload-resilience numbers (shed instead
-# of collapse at 4x admission capacity) in BENCH_overload.json, and
-# the crash-safe million-sink tree numbers (dedup ratio, peak RSS,
-# SIGKILL+resume drill) in BENCH_tree.json.
-bench-obs:
-	./scripts/bench.sh
-
 # serve runs the extraction daemon on ADDR (override: make serve
 # ADDR=:8650 CACHE=/var/cache/rlcx) with the content-addressed table
-# cache, ready for rlcxload or a CTS flow's HTTP client.
+# cache, ready for a CTS flow's HTTP client.
 ADDR ?= 127.0.0.1:8650
 CACHE ?= .rlcx-cache
 serve:
 	$(GO) run ./cmd/rlcxd -addr $(ADDR) -cache $(CACHE)
-
-# bench-check is the regression gate: compares the freshly measured
-# BENCH_*.json files (run `make bench-obs` first) against the committed
-# baselines and fails when any metric drifts >10% the wrong way. After
-# an intentional perf change, refresh the baselines with:
-#   make bench-obs && cp BENCH_*.json bench/baseline/
-bench-check:
-	$(GO) run ./cmd/benchdiff -baseline bench/baseline -current .
-
-clean:
-	rm -f BENCH_obs.json BENCH_spline.json BENCH_cache.json BENCH_fault.json BENCH_check.json BENCH_trace.json BENCH_mmap.json BENCH_serve.json BENCH_overload.json BENCH_tree.json

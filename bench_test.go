@@ -7,20 +7,13 @@
 package clockrlc_test
 
 import (
-	"context"
-	"math"
-	"path/filepath"
-	"runtime"
 	"sync"
 	"testing"
 
-	"clockrlc/internal/check"
 	"clockrlc/internal/core"
 	"clockrlc/internal/geom"
-	"clockrlc/internal/obs"
 	"clockrlc/internal/paper"
 	"clockrlc/internal/peec"
-	"clockrlc/internal/spline"
 	"clockrlc/internal/table"
 	"clockrlc/internal/units"
 )
@@ -175,62 +168,6 @@ func BenchmarkE10TableLookup(b *testing.B) {
 	}
 }
 
-// BenchmarkE10TableLookupChecked is the same composition with the
-// invariant engine armed in warn mode, so the per-lookup price of the
-// physical checks is visible next to the disarmed number (which must
-// stay indistinguishable from the pre-check baseline: disarmed is one
-// atomic load).
-func BenchmarkE10TableLookupChecked(b *testing.B) {
-	e := benchExtractor(b)
-	seg := paper.Fig1Segment()
-	check.SetPolicy(check.Warn)
-	defer check.SetPolicy(check.Off)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := e.LoopL(seg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkE10TableLookupCtx is the same composition through the
-// context-propagated entry point with tracing disarmed (the default).
-// StartCtx costs one atomic load and returns the context unchanged
-// here, so this number must stay indistinguishable from
-// BenchmarkE10TableLookup — scripts/bench.sh records the ratio in
-// BENCH_trace.json.
-func BenchmarkE10TableLookupCtx(b *testing.B) {
-	e := benchExtractor(b)
-	seg := paper.Fig1Segment()
-	ctx := context.Background()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := e.LoopLCtx(ctx, seg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkE10TableLookupTraced arms the process-default observer with
-// a discarding sink, so the full armed span path (id allocation, event
-// emission, context plumbing) is priced per lookup next to the free
-// disarmed number.
-func BenchmarkE10TableLookupTraced(b *testing.B) {
-	e := benchExtractor(b)
-	seg := paper.Fig1Segment()
-	sink := obs.NopSink{}
-	obs.Default().AddSink(sink)
-	defer obs.Default().RemoveSink(sink)
-	ctx, root := obs.StartCtx(context.Background(), "bench")
-	defer root.End()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := e.LoopLCtx(ctx, seg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkE10SegmentRLC times one full segment extraction (analytic
 // R, modelled C, table-composed loop L) — the per-segment cost the
 // clocktree flow pays, and the hot path guarded by the instrumentation
@@ -280,39 +217,6 @@ func BenchmarkTableBuild(b *testing.B) {
 		if _, err := table.Build(cfg, axes); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkTableBuildWorkers times the same Section III build serially
-// and with the full worker pool; the ratio is the build-parallelism
-// speedup recorded in BENCH_spline.json.
-func BenchmarkTableBuildWorkers(b *testing.B) {
-	axes := table.Axes{
-		Widths:   table.LogAxis(units.Um(1), units.Um(14), 5),
-		Spacings: table.LogAxis(units.Um(0.5), units.Um(22), 6),
-		Lengths:  table.LogAxis(units.Um(50), units.Um(8000), 8),
-	}
-	for _, w := range []struct {
-		name    string
-		workers int
-	}{
-		{"serial", 1}, {"parallel", runtime.GOMAXPROCS(0)},
-	} {
-		b.Run(w.name, func(b *testing.B) {
-			cfg := table.Config{
-				Name:      "bench/" + w.name,
-				Thickness: units.Um(2),
-				Rho:       units.RhoCopper,
-				Shielding: geom.ShieldNone,
-				Frequency: paper.Fsig,
-				Workers:   w.workers,
-			}
-			for i := 0; i < b.N; i++ {
-				if _, err := table.Build(cfg, axes); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }
 
@@ -417,198 +321,4 @@ func BenchmarkE14SkewVariation(b *testing.B) {
 			b.Fatal("degenerate skew")
 		}
 	}
-}
-
-// BenchmarkExtractorCache times ready-extractor construction cold (a
-// full field-solver sweep) vs against a warm content-addressed table
-// cache (zero solver calls, lookups bit-identical). The ratio is the
-// "solve once, look up forever" speedup scripts/bench.sh records in
-// BENCH_cache.json. A batch of segments is extracted through each
-// extractor so the batch path's throughput counters move too.
-func BenchmarkExtractorCache(b *testing.B) {
-	tech := core.Technology{
-		Thickness:      units.Um(2),
-		Rho:            units.RhoCopper,
-		EpsRel:         units.EpsSiO2,
-		CapHeight:      units.Um(2),
-		PlaneGap:       units.Um(2),
-		PlaneThickness: units.Um(1),
-	}
-	axes := table.Axes{
-		Widths:   table.LogAxis(units.Um(1), units.Um(14), 4),
-		Spacings: table.LogAxis(units.Um(0.5), units.Um(22), 4),
-		Lengths:  table.LogAxis(units.Um(50), units.Um(8000), 5),
-	}
-	shieldings := []geom.Shielding{geom.ShieldNone}
-	segs := make([]core.Segment, 32)
-	for i := range segs {
-		segs[i] = core.Segment{
-			Length:      units.Um(500 + 100*float64(i)),
-			SignalWidth: units.Um(4),
-			GroundWidth: units.Um(4),
-			Spacing:     units.Um(2),
-			Shielding:   geom.ShieldNone,
-		}
-	}
-	b.Run("cold", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			e, err := core.NewExtractor(tech, paper.Fsig, axes, shieldings)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := e.SegmentsRLC(segs); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("warm", func(b *testing.B) {
-		cache, err := table.NewCache(b.TempDir())
-		if err != nil {
-			b.Fatal(err)
-		}
-		// Prime the cache outside the timed region.
-		if _, err := core.NewExtractor(tech, paper.Fsig, axes, shieldings, core.WithTableCache(cache)); err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			e, err := core.NewExtractor(tech, paper.Fsig, axes, shieldings, core.WithTableCache(cache))
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := e.SegmentsRLC(segs); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// benchSyntheticLibrarySet builds a realistically sized table set with
-// closed-form (solver-free) values so the library-open benchmarks time
-// the codecs, not the sweep. 8×8×10 axes put ~5 k mutual entries plus
-// spline coefficients in the artifact — the scale of a production
-// layer library.
-func benchSyntheticLibrarySet(b *testing.B) *table.Set {
-	b.Helper()
-	axes := table.Axes{
-		Widths:   table.LogAxis(units.Um(1), units.Um(14), 8),
-		Spacings: table.LogAxis(units.Um(0.5), units.Um(22), 8),
-		Lengths:  table.LogAxis(units.Um(50), units.Um(8000), 10),
-	}
-	nw, ns, nl := len(axes.Widths), len(axes.Spacings), len(axes.Lengths)
-	const t = 2e-6
-	selfL := func(w, l float64) float64 {
-		return 2e-7 * l * (math.Log(2*l/(w+t)) + 0.5 + 0.2235*(w+t)/l)
-	}
-	selfVals := make([]float64, nw*nl)
-	for i, w := range axes.Widths {
-		for k, l := range axes.Lengths {
-			selfVals[i*nl+k] = selfL(w, l)
-		}
-	}
-	mutVals := make([]float64, nw*nw*ns*nl)
-	for i1, w1 := range axes.Widths {
-		for i2, w2 := range axes.Widths {
-			for j, sp := range axes.Spacings {
-				for k, l := range axes.Lengths {
-					d := sp + (w1+w2)/2
-					m := 2e-7 * l * (math.Log(2*l/d) - 1 + d/l)
-					if m < 0 {
-						m = 0
-					}
-					mutVals[((i1*nw+i2)*ns+j)*nl+k] = m
-				}
-			}
-		}
-	}
-	s := &table.Set{
-		Config: table.Config{
-			Name:      "bench/synthetic",
-			Thickness: units.Um(2),
-			Rho:       units.RhoCopper,
-			Frequency: paper.Fsig,
-		},
-		Axes: axes,
-	}
-	var err error
-	if s.Self, err = spline.NewGrid([][]float64{axes.Widths, axes.Lengths}, selfVals); err != nil {
-		b.Fatal(err)
-	}
-	if s.Mutual, err = spline.NewGrid(
-		[][]float64{axes.Widths, axes.Widths, axes.Spacings, axes.Lengths}, mutVals); err != nil {
-		b.Fatal(err)
-	}
-	return s
-}
-
-// BenchmarkLibraryOpen times opening one stored table set ready for
-// lookups: the v2 JSON codec parses and re-derives spline coefficient
-// matrices; the v3 binary codec verifies a checksum and mmaps the
-// value and coefficient blocks in place. scripts/bench.sh records the
-// ratio in BENCH_mmap.json as library_open_speedup_vs_v2.
-func BenchmarkLibraryOpen(b *testing.B) {
-	s := benchSyntheticLibrarySet(b)
-	dir := b.TempDir()
-	v2 := filepath.Join(dir, "set.json")
-	v3 := filepath.Join(dir, "set.rlct")
-	if err := s.SaveFile(v2); err != nil {
-		b.Fatal(err)
-	}
-	if err := s.SaveFileV3(v3); err != nil {
-		b.Fatal(err)
-	}
-	for _, bc := range []struct{ name, path string }{{"v2", v2}, {"v3", v3}} {
-		b.Run(bc.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				set, err := table.LoadFile(bc.path)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := set.Close(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkLookupBatch prices one clocktree's worth of loop
-// compositions per iteration — 1024 segments drawn from 16 distinct
-// geometries, the repetition an H-tree exhibits — through the scalar
-// per-segment path (four table lookups each) and the vectorized
-// LoopLBatch path (two batched lookups per shielding group, repeated
-// geometries deduped inside the spline contraction). The ns/q metric
-// is the per-segment cost scripts/bench.sh records in BENCH_mmap.json.
-func BenchmarkLookupBatch(b *testing.B) {
-	e := benchExtractor(b)
-	base := paper.Fig1Segment()
-	segs := make([]core.Segment, 1024)
-	for i := range segs {
-		g := base
-		// 16 distinct geometries, cycled.
-		v := float64(i % 16)
-		g.Length = units.Um(400 + 300*v)
-		g.SignalWidth = units.Um(2 + v/4)
-		g.GroundWidth = units.Um(2 + v/8)
-		g.Spacing = units.Um(1 + v/16)
-		segs[i] = g
-	}
-	b.Run("scalar", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for _, s := range segs {
-				if _, err := e.LoopL(s); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(segs)), "ns/q")
-	})
-	b.Run("batch", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := e.LoopLBatch(segs); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(segs)), "ns/q")
-	})
 }

@@ -496,13 +496,6 @@ func TableCacheKey(cfg TableConfig, axes TableAxes) (string, error) {
 	return table.CacheKey(cfg, axes)
 }
 
-// ExtractionBatch fans whole-segment extraction across a bounded
-// worker pool. Extractor.SegmentsRLC instead takes the vectorized
-// path — R/C on a GOMAXPROCS-wide pool, then all loop inductances
-// through the table layer's batch lookups — with bit-identical
-// results.
-type ExtractionBatch = core.Batch
-
 // TableLibrary manages one technology's table sets (one per layer and
 // shielding configuration) with directory persistence.
 type TableLibrary = table.Library

@@ -14,8 +14,7 @@
 //
 //   - Off:    every check site is a single atomic pointer load and a
 //     nil branch (the same disarmed-hook design as internal/fault), so
-//     the lookup hot path costs nothing measurable; see
-//     BENCH_check.json.
+//     the lookup hot path costs nothing measurable.
 //   - Warn:   violations are counted (check.violations and
 //     check.violations.<stage>) and execution continues.
 //   - Strict: the first violation is returned as a named error

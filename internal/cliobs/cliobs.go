@@ -120,7 +120,7 @@ func (f *Flags) Start(name string) (*Session, error) {
 	if f.Trace != "" || f.Metrics || f.PprofAddr != "" {
 		s.sampler = obs.StartRuntimeSampler(obs.DefaultRegistry(), time.Second)
 	}
-	s.root = s.observer.Start(name)
+	_, s.root = s.observer.StartCtx(context.Background(), name)
 	return s, nil
 }
 

@@ -3,6 +3,7 @@ package clocktree
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"runtime"
 	"testing"
@@ -128,26 +129,42 @@ func TestStreamedStatsBitIdentical(t *testing.T) {
 // TestNominalTreeDedup pins the headline economics: a nominal H-tree
 // needs one transient per level, everything else is memo hits.
 func TestNominalTreeDedup(t *testing.T) {
-	tr := testTree(t, 3)
-	stats, err := tr.Analyze(SimOptions{WithL: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Leaves != 64 {
-		t.Fatalf("leaves = %d", stats.Leaves)
-	}
-	if stats.StagesSimulated != 3 {
-		t.Errorf("simulated %d transients for a nominal 3-level tree, want 3", stats.StagesSimulated)
-	}
-	if stats.StagesDeduped != 21-3 {
-		t.Errorf("deduped = %d, want 18", stats.StagesDeduped)
-	}
-	if stats.Min <= 0 || stats.Max < stats.Min {
-		t.Errorf("degenerate stats: min %v max %v", stats.Min, stats.Max)
-	}
-	// A nominal tree's sinks differ only by solver rounding noise.
-	if skew := stats.Max - stats.Min; skew > 1e-12*stats.Max {
-		t.Errorf("nominal tree skew %v is beyond rounding noise", skew)
+	for _, tc := range []struct {
+		levels              int
+		leaves, sim, dedupe int64
+	}{
+		{levels: 3, leaves: 64, sim: 3, dedupe: 21 - 3},
+		// A million sinks: 349,525 stage instances collapse to one
+		// transient per level.
+		{levels: 10, leaves: 1 << 20, sim: 10, dedupe: 349525 - 10},
+	} {
+		t.Run(fmt.Sprintf("levels=%d", tc.levels), func(t *testing.T) {
+			if tc.levels > 3 && testing.Short() {
+				t.Skip("million-sink walk skipped under -short")
+			}
+			tr := testTree(t, tc.levels)
+			stats, err := tr.Analyze(SimOptions{WithL: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if stats.Leaves != tc.leaves {
+				t.Fatalf("leaves = %d, want %d", stats.Leaves, tc.leaves)
+			}
+			if stats.StagesSimulated != tc.sim {
+				t.Errorf("simulated %d transients for a nominal %d-level tree, want %d",
+					stats.StagesSimulated, tc.levels, tc.sim)
+			}
+			if stats.StagesDeduped != tc.dedupe {
+				t.Errorf("deduped = %d, want %d", stats.StagesDeduped, tc.dedupe)
+			}
+			if stats.Min <= 0 || stats.Max < stats.Min {
+				t.Errorf("degenerate stats: min %v max %v", stats.Min, stats.Max)
+			}
+			// A nominal tree's sinks differ only by solver rounding noise.
+			if skew := stats.Max - stats.Min; skew > 1e-12*stats.Max {
+				t.Errorf("nominal tree skew %v is beyond rounding noise", skew)
+			}
+		})
 	}
 }
 

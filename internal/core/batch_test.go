@@ -26,41 +26,27 @@ func batchSegs(n int) []Segment {
 }
 
 // Batch extraction must return exactly what a serial loop over
-// SegmentRLC returns, in input order, at any worker count — the
-// lookups are pure reads, so fan-out cannot change a single bit.
+// SegmentRLC returns, in input order — the lookups are pure reads, so
+// fan-out cannot change a single bit.
 func TestSegmentsRLCMatchesSerial(t *testing.T) {
 	e := newTestExtractor(t, []geom.Shielding{geom.ShieldNone})
 	segs := batchSegs(24)
-	want := make([]struct{ r, l, c float64 }, len(segs))
-	for i, s := range segs {
-		rlc, err := e.SegmentRLC(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[i] = struct{ r, l, c float64 }{rlc.R, rlc.L, rlc.C}
-	}
-	for _, workers := range []int{1, 4, 16} {
-		got, err := Batch{Workers: workers}.SegmentsRLC(e, segs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(segs) {
-			t.Fatalf("workers=%d: %d results for %d segments", workers, len(got), len(segs))
-		}
-		for i, rlc := range got {
-			if rlc.R != want[i].r || rlc.L != want[i].l || rlc.C != want[i].c {
-				t.Fatalf("workers=%d: segment %d drifted: got (%g, %g, %g), want (%g, %g, %g)",
-					workers, i, rlc.R, rlc.L, rlc.C, want[i].r, want[i].l, want[i].c)
-			}
-		}
-	}
-	// The GOMAXPROCS shorthand takes the same path.
-	got, err := e.SegmentsRLC(segs[:4])
+	got, err := e.SegmentsRLC(segs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got[2].L != want[2].l {
-		t.Error("Extractor.SegmentsRLC disagrees with Batch")
+	if len(got) != len(segs) {
+		t.Fatalf("%d results for %d segments", len(got), len(segs))
+	}
+	for i, s := range segs {
+		want, err := e.SegmentRLC(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rlc := got[i]; rlc.R != want.R || rlc.L != want.L || rlc.C != want.C {
+			t.Fatalf("segment %d drifted: got (%g, %g, %g), want (%g, %g, %g)",
+				i, rlc.R, rlc.L, rlc.C, want.R, want.L, want.C)
+		}
 	}
 }
 
@@ -68,7 +54,7 @@ func TestSegmentsRLCErrorNamesSegment(t *testing.T) {
 	e := newTestExtractor(t, []geom.Shielding{geom.ShieldNone})
 	segs := batchSegs(8)
 	segs[5].Length = -1
-	_, err := Batch{Workers: 4}.SegmentsRLC(e, segs)
+	_, err := e.SegmentsRLC(segs)
 	if err == nil {
 		t.Fatal("batch accepted an invalid segment")
 	}

@@ -347,10 +347,10 @@ func (e *Extractor) LoopL(s Segment) (float64, error) {
 }
 
 // LoopLCtx is LoopL with its span parented through ctx
-// (obs.StartCtx), the form concurrent callers — core.Batch, the
-// clocktree stages — use so per-segment lookups attribute to the
-// right parent at any worker count. The context carries tracing
-// lineage only; lookups are pure reads and are not cancelled.
+// (obs.StartCtx), the form concurrent callers such as the clocktree
+// stages use so per-segment lookups attribute to the right parent at
+// any worker count. The context carries tracing lineage only; lookups
+// are pure reads and are not cancelled.
 func (e *Extractor) LoopLCtx(ctx context.Context, s Segment) (float64, error) {
 	if err := s.Validate(); err != nil {
 		return 0, err

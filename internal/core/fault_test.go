@@ -100,7 +100,7 @@ func TestBatchCancellationStopsNewClaims(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	t0 := time.Now()
-	_, err := Batch{Workers: 4}.SegmentsRLCCtx(ctx, e, segs)
+	_, err := e.SegmentsRLCCtx(ctx, segs)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}

@@ -18,9 +18,31 @@ import (
 
 	"clockrlc/internal/geom"
 	"clockrlc/internal/netlist"
+	"clockrlc/internal/obs"
 	"clockrlc/internal/resist"
 	"clockrlc/internal/table"
 )
+
+// Batch accounting: runs, segments extracted through the batch path,
+// and accumulated wall time (throughput = batch_segments /
+// batch_ns·1e9).
+var (
+	batchRuns     = obs.GetCounter("core.batch_runs")
+	batchSegments = obs.GetCounter("core.batch_segments")
+	batchNs       = obs.GetCounter("core.batch_ns")
+)
+
+// SegmentsRLC extracts a batch of segments through the vectorized
+// path: R and C per segment on a GOMAXPROCS-wide worker pool, then
+// every loop inductance through the table layer's batch lookups (one
+// spline contraction pass per shielding group, repeated geometries
+// deduped). Results are bit-identical to a serial loop over
+// SegmentRLC, in input order; the first failing segment stops the
+// batch, identified by its index. Progress is observable through the
+// core.batch_* counters.
+func (e *Extractor) SegmentsRLC(segs []Segment) ([]netlist.SegmentRLC, error) {
+	return e.SegmentsRLCCtx(context.Background(), segs)
+}
 
 // LoopLBatch composes the loop inductance of every segment through the
 // batch lookup path, returning henries in input order. Values are
@@ -153,12 +175,10 @@ func batchQuerySegment(idxs []int, err error) (int, error) {
 	return 0, err
 }
 
-// segmentsRLCVectorized is the batch extraction path behind
-// Extractor.SegmentsRLC: R and C per segment on a worker pool (both
-// are per-segment analytic/field-model work), then every loop
-// inductance through one vectorized lookup pass. Results are
-// bit-identical to a serial loop over SegmentRLC.
-func (e *Extractor) segmentsRLCVectorized(ctx context.Context, segs []Segment) ([]netlist.SegmentRLC, error) {
+// SegmentsRLCCtx is SegmentsRLC honouring cancellation through the
+// R/C worker phase; the lookup phase is pure reads and runs to
+// completion.
+func (e *Extractor) SegmentsRLCCtx(ctx context.Context, segs []Segment) ([]netlist.SegmentRLC, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}

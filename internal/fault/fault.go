@@ -5,8 +5,7 @@
 // registers an Injector that deterministically converts chosen calls
 // into errors, added latency, or panics. When no injector is
 // registered the hook is a single atomic pointer load and a nil
-// branch, so the instrumented hot paths cost nothing measurable; see
-// BENCH_fault.json for the warm-lookup evidence.
+// branch, so the instrumented hot paths cost nothing measurable.
 //
 // Determinism matters more than realism here: every injection
 // decision is a pure function of (seed, point, per-point call index),

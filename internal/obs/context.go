@@ -2,16 +2,14 @@ package obs
 
 import "context"
 
-// Context propagation: the concurrency-correct way to parent spans.
-//
-// The Observer's auto-parenting stack assumes one goroutine; the
-// moment work fans out (table.BuildCtx's worker pool, core.Batch,
-// every *Ctx entry point) the stack interleaves and spans mis-parent.
-// StartCtx instead reads its parent from the context — each goroutine
-// carries its own lineage, so reconstruction of the trace tree is
-// exact at any worker count. The disarmed path (observer disabled)
-// is a single atomic load returning the context unchanged: no
-// allocation, no context wrapping, nothing for the hot paths to pay.
+// Context propagation: the one way to parent spans. StartCtx reads
+// its parent from the context — each goroutine carries its own
+// lineage, so when work fans out (table.BuildCtx's worker pool, the
+// batch extraction pool, every *Ctx entry point) reconstruction of
+// the trace tree is exact at any worker count. The disarmed path
+// (observer disabled) is a single atomic load returning the context
+// unchanged: no allocation, no context wrapping, nothing for the hot
+// paths to pay.
 
 // spanCtxKey keys the current span in a context.Context.
 type spanCtxKey struct{}
@@ -42,10 +40,9 @@ func SpanFromContext(ctx context.Context) Span {
 // StartCtx begins a span parented to the span carried by ctx (a root
 // span when ctx carries none, or one from a different observer) and
 // returns a derived context carrying the new span, for passing to
-// child operations. Unlike Start it never consults the shared
-// auto-parenting stack, so it is correct from any number of
-// goroutines. With the observer disabled it returns (ctx, Span{})
-// after one atomic load.
+// child operations. It is correct from any number of goroutines. With
+// the observer disabled it returns (ctx, Span{}) after one atomic
+// load.
 func (o *Observer) StartCtx(ctx context.Context, name string) (context.Context, Span) {
 	if o == nil || !o.enabled.Load() {
 		return ctx, Span{}

@@ -85,30 +85,12 @@ func TestStartCtxIgnoresForeignObserverSpan(t *testing.T) {
 
 // TestStartCtxCrossGoroutine is the core concurrency-correctness
 // property: spans started via StartCtx from many goroutines all parent
-// under the span their context carries, never under each other, and
-// never consult the single-goroutine stack (which another goroutine is
-// concurrently mutating via legacy Start/End).
+// under the span their context carries, never under each other.
 func TestStartCtxCrossGoroutine(t *testing.T) {
 	sink := &MemorySink{}
 	o := New(sink)
 	ctx, root := o.StartCtx(context.Background(), "build")
 
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	// Antagonist: churn the legacy stack from its own goroutine.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-				sp := o.Start("legacy")
-				sp.End()
-			}
-		}
-	}()
 	const workers, perWorker = 8, 50
 	var cwg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -122,8 +104,6 @@ func TestStartCtxCrossGoroutine(t *testing.T) {
 		}()
 	}
 	cwg.Wait()
-	close(stop)
-	wg.Wait()
 	root.End()
 
 	tr := BuildTrace(sink.Events())

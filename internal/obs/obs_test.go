@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"strings"
 	"sync"
@@ -13,10 +14,10 @@ func TestSpanNestingAndOrdering(t *testing.T) {
 	sink := &MemorySink{}
 	o := New(sink)
 
-	root := o.Start("extract")
-	lookup := o.Start("table.lookup")
+	ctx, root := o.StartCtx(context.Background(), "extract")
+	_, lookup := o.StartCtx(ctx, "table.lookup")
 	lookup.End()
-	cascade := o.Start("cascade")
+	_, cascade := o.StartCtx(ctx, "cascade")
 	cascade.End()
 	root.End()
 
@@ -59,54 +60,10 @@ func TestSpanNestingAndOrdering(t *testing.T) {
 	}
 }
 
-func TestSpanOutOfOrderEnd(t *testing.T) {
-	sink := &MemorySink{}
-	o := New(sink)
-	a := o.Start("a")
-	b := o.Start("b")
-	a.End() // out of order: outer ends first — marked closed in place, not removed
-	c := o.Start("c")
-	if got := len(o.stack); got != 3 {
-		t.Fatalf("stack depth %d, want 3 (a closed in place, b, c)", got)
-	}
-	c.End()
-	b.End()
-	// Ending the top pops it and every trailing closed entry beneath.
-	if got := len(o.stack); got != 0 {
-		t.Fatalf("stack depth %d after all ends, want 0", got)
-	}
-	evs := sink.Events()
-	// c started while b was still open, so c parents to b.
-	var bID uint64
-	for _, e := range evs {
-		if e.Type == EventSpanStart && e.Name == "b" {
-			bID = e.Span
-		}
-	}
-	for _, e := range evs {
-		if e.Type == EventSpanStart && e.Name == "c" && e.Parent != bID {
-			t.Errorf("c parent = %d, want b %d", e.Parent, bID)
-		}
-	}
-}
-
-func TestSpanChildExplicitParent(t *testing.T) {
-	sink := &MemorySink{}
-	o := New(sink)
-	root := o.Start("root")
-	ch := root.Child("worker")
-	ch.End()
-	root.End()
-	evs := sink.Events()
-	if evs[1].Name != "worker" || evs[1].Parent != evs[0].Span {
-		t.Errorf("child parent = %d, want %d", evs[1].Parent, evs[0].Span)
-	}
-}
-
 func TestSpanDoubleEndAndZeroSpan(t *testing.T) {
 	sink := &MemorySink{}
 	o := New(sink)
-	s := o.Start("x")
+	_, s := o.StartCtx(context.Background(), "x")
 	s.End()
 	s.End()
 	if n := len(sink.Events()); n != 2 {
@@ -130,7 +87,7 @@ func TestSpanAttrsAndDuration(t *testing.T) {
 		tick++
 		return base.Add(time.Duration(tick) * 5 * time.Millisecond)
 	}
-	s := o.Start("build")
+	_, s := o.StartCtx(context.Background(), "build")
 	s.SetAttr("entries", 42)
 	s.End()
 	evs := sink.Events()
@@ -145,13 +102,14 @@ func TestSpanAttrsAndDuration(t *testing.T) {
 
 func TestNoopSpanZeroAlloc(t *testing.T) {
 	o := New() // no sinks: disabled
+	ctx := context.Background()
 	allocs := testing.AllocsPerRun(1000, func() {
-		sp := o.Start("hot")
+		_, sp := o.StartCtx(ctx, "hot")
 		sp.SetAttr("k", 1)
 		sp.End()
 	})
 	if allocs != 0 {
-		t.Errorf("disabled Start/End allocates %.1f objects/op, want 0", allocs)
+		t.Errorf("disabled StartCtx/End allocates %.1f objects/op, want 0", allocs)
 	}
 }
 
@@ -167,8 +125,8 @@ func TestJSONLSinkRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	sink := NewJSONLSink(&buf)
 	o := New(sink)
-	root := o.Start("extract")
-	child := o.Start("table.lookup")
+	ctx, root := o.StartCtx(context.Background(), "extract")
+	_, child := o.StartCtx(ctx, "table.lookup")
 	child.SetAttr("w_um", 10.0)
 	child.End()
 	root.End()
@@ -209,14 +167,14 @@ func TestJSONLSinkRoundTrip(t *testing.T) {
 func TestConcurrentSpansDoNotRace(t *testing.T) {
 	sink := &MemorySink{}
 	o := New(sink)
-	root := o.Start("root")
+	ctx, root := o.StartCtx(context.Background(), "root")
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				sp := root.Child("worker")
+				_, sp := o.StartCtx(ctx, "worker")
 				sp.SetAttr("i", i)
 				sp.End()
 			}
@@ -240,7 +198,7 @@ func TestRemoveSinkDisables(t *testing.T) {
 	if o.Enabled() {
 		t.Fatal("observer still enabled after RemoveSink")
 	}
-	if sp := o.Start("x"); sp.Active() {
+	if _, sp := o.StartCtx(context.Background(), "x"); sp.Active() {
 		t.Error("disabled observer returned active span")
 	}
 }

@@ -96,6 +96,127 @@ func TestShedAtCapacity(t *testing.T) {
 	}
 }
 
+// The overload drill: 16 clients against 4 admission slots and a
+// 4-deep queue, with every lookup slowed by injected latency. The
+// daemon must shed the excess with 429 + Retry-After and not collapse:
+// no 500, no 503 from the 2 s request budget, no panic, and every
+// request a retrying client makes ends in a 200 carrying exactly the
+// bytes of an unloaded response.
+func TestOverloadShedsWithoutCollapse(t *testing.T) {
+	s, err := New(Config{
+		Tech: testTech(), Axes: testAxes(),
+		DefaultCheck: check.Warn, DefaultLookup: table.LookupError,
+		MaxInFlight: 4, QueueDepth: 4, QueueWait: 5 * time.Millisecond,
+		RequestTimeout: 2 * time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	const clients, perClient = 16, 10
+	client := &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: clients}}
+	defer client.CloseIdleConnections()
+	body, err := json.Marshal(oneSegmentBatch())
+	if err != nil {
+		t.Fatal(err)
+	}
+	post := func() (status int, retryAfter string, out []byte, err error) {
+		resp, err := client.Post(ts.URL+"/v1/batch", "application/json", bytes.NewReader(body))
+		if err != nil {
+			return 0, "", nil, err
+		}
+		defer resp.Body.Close()
+		out, err = io.ReadAll(resp.Body)
+		return resp.StatusCode, resp.Header.Get("Retry-After"), out, err
+	}
+
+	// Warm the tables, so admitted requests are lookups, not builds.
+	status, _, warm, err := post()
+	if err != nil || status != http.StatusOK {
+		t.Fatalf("warm-up: status %d, err %v: %s", status, err, warm)
+	}
+
+	fault.Register(fault.NewInjector(26, fault.Rule{
+		Point: fault.SplineLookup, Mode: fault.ModeLatency, Prob: 1, Delay: 2 * time.Millisecond,
+	}))
+	defer fault.Reset()
+
+	shed0, panics0 := srvShed.Value(), srvPanics.Value()
+	var (
+		mu                                 sync.Mutex
+		oks, sheds, noRetryAfter, mismatch int
+		other                              = map[int]int{}
+		transportErr                       error
+	)
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for done := 0; done < perClient; {
+				status, retryAfter, out, err := post()
+				mu.Lock()
+				switch {
+				case err != nil:
+					if transportErr == nil {
+						transportErr = err
+					}
+				case status == http.StatusOK:
+					oks++
+					done++
+					if !bytes.Equal(out, warm) {
+						mismatch++
+					}
+				case status == http.StatusTooManyRequests:
+					sheds++
+					if retryAfter == "" {
+						noRetryAfter++
+					}
+				default:
+					other[status]++
+				}
+				mu.Unlock()
+				if err != nil || status != http.StatusOK && status != http.StatusTooManyRequests {
+					return
+				}
+				if status == http.StatusTooManyRequests {
+					time.Sleep(time.Millisecond)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+
+	if transportErr != nil {
+		t.Fatalf("transport error under overload: %v", transportErr)
+	}
+	if len(other) != 0 {
+		t.Errorf("statuses other than 200/429 under overload: %v", other)
+	}
+	if oks != clients*perClient {
+		t.Errorf("%d of %d requests ended in 200", oks, clients*perClient)
+	}
+	if mismatch != 0 {
+		t.Errorf("%d of %d 200 bodies differ from the unloaded response", mismatch, oks)
+	}
+	if sheds == 0 {
+		t.Error("16 clients against 4 slots + 4 queued shed nothing: admission control is inert")
+	}
+	if noRetryAfter != 0 {
+		t.Errorf("%d of %d 429s missing Retry-After", noRetryAfter, sheds)
+	}
+	if d := srvShed.Value() - shed0; d != int64(sheds) {
+		t.Errorf("serve.shed delta = %d, want %d (the 429s clients saw)", d, sheds)
+	}
+	if d := srvPanics.Value() - panics0; d != 0 {
+		t.Errorf("serve.panics delta = %d under overload, want 0", d)
+	}
+	t.Logf("%d requests answered 200 after %d sheds", oks, sheds)
+}
+
 // The serve.admit fault point sheds deterministically without
 // consuming capacity.
 func TestInjectedAdmitShed(t *testing.T) {
