@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -10,10 +11,13 @@ import (
 	"clockrlc/internal/units"
 )
 
+// batchSegs returns n distinct segments inside the test tables' axes:
+// the first 24 step every dimension, later ones repeat that sweep
+// with a small offset per round.
 func batchSegs(n int) []Segment {
 	segs := make([]Segment, n)
 	for i := range segs {
-		f := float64(i)
+		f := float64(i%24) + float64(i/24)/32
 		segs[i] = Segment{
 			Length:      units.Um(400 + 150*f),
 			SignalWidth: units.Um(2 + f/8),
@@ -27,25 +31,33 @@ func batchSegs(n int) []Segment {
 
 // Batch extraction must return exactly what a serial loop over
 // SegmentRLC returns, in input order — the lookups are pure reads, so
-// fan-out cannot change a single bit.
+// fan-out cannot change a single bit. At GOMAXPROCS 1 the R/C phase is
+// a serial loop, at 4 it runs on four workers; 512 segments put 1,024
+// queries in each batch lookup.
 func TestSegmentsRLCMatchesSerial(t *testing.T) {
 	e := newTestExtractor(t, []geom.Shielding{geom.ShieldNone})
-	segs := batchSegs(24)
-	got, err := e.SegmentsRLC(segs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(segs) {
-		t.Fatalf("%d results for %d segments", len(got), len(segs))
-	}
-	for i, s := range segs {
-		want, err := e.SegmentRLC(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rlc := got[i]; rlc.R != want.R || rlc.L != want.L || rlc.C != want.C {
-			t.Fatalf("segment %d drifted: got (%g, %g, %g), want (%g, %g, %g)",
-				i, rlc.R, rlc.L, rlc.C, want.R, want.L, want.C)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
+		for _, n := range []int{1, 24, 512} {
+			segs := batchSegs(n)
+			got, err := e.SegmentsRLC(segs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != len(segs) {
+				t.Fatalf("%d results for %d segments", len(got), len(segs))
+			}
+			for i, s := range segs {
+				want, err := e.SegmentRLC(s)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if rlc := got[i]; rlc.R != want.R || rlc.L != want.L || rlc.C != want.C {
+					t.Fatalf("GOMAXPROCS %d, %d segments: segment %d drifted: got (%g, %g, %g), want (%g, %g, %g)",
+						procs, n, i, rlc.R, rlc.L, rlc.C, want.R, want.L, want.C)
+				}
+			}
 		}
 	}
 }

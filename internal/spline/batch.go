@@ -29,13 +29,20 @@ var orderPool = sync.Pool{New: func() any { return new([]int) }}
 // Weight sharing is keyed on exact float equality only — never on
 // proximity — which is what keeps batch results bit-identical to the
 // scalar loop regardless of input order. coords and the grid are not
-// mutated; like Eval, EvalBatch is safe for concurrent use.
+// mutated; like Eval, EvalBatch is safe for concurrent use. A NaN or
+// infinite coordinate anywhere in the batch is an error naming the
+// first such query, and no result is written.
 func (g *Grid) EvalBatch(coords, out []float64) error {
 	dim := len(g.Axes)
 	nq := len(out)
 	if len(coords) != nq*dim {
 		return fmt.Errorf("spline: batch of %d queries over %d axes needs %d coordinates, got %d",
 			nq, dim, nq*dim, len(coords))
+	}
+	for k, x := range coords {
+		if !finite(x) {
+			return fmt.Errorf("spline: batch query %d coordinate %d is %g, want a finite value", k/dim, k%dim, x)
+		}
 	}
 	if nq == 0 {
 		return nil

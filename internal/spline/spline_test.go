@@ -3,6 +3,8 @@ package spline
 import (
 	"fmt"
 	"math"
+	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -273,6 +275,152 @@ func referenceEval(axes [][]float64, vals, coords []float64) float64 {
 		panic(err)
 	}
 	return s.Eval(coords[0])
+}
+
+// referenceContract is the one-line contraction Grid.contract blocks:
+// the same cardinal weights, each line summed on its own in ascending
+// index order from +0. Kept as the bit-identity oracle for the blocked
+// kernel — the two must agree in every bit, not merely to a tolerance.
+func referenceContract(g *Grid, coords []float64) float64 {
+	cur := g.Vals
+	w := make([][]float64, len(g.Axes))
+	for d, ax := range g.Axes {
+		w[d] = make([]float64, len(ax))
+		axisWeights(ax, g.coef[d], coords[d], w[d])
+	}
+	for d := len(g.Axes) - 1; d >= 0; d-- {
+		n := len(w[d])
+		next := make([]float64, len(cur)/n)
+		for i := range next {
+			acc := 0.0
+			for j := 0; j < n; j++ {
+				acc += w[d][j] * cur[i*n+j]
+			}
+			next[i] = acc
+		}
+		cur = next
+	}
+	return cur[0]
+}
+
+// TestContractMatchesOneLineReference: Eval and EvalBatch equal the
+// one-line contraction bit for bit on grids whose first pass runs
+// 1–17 lines, so every split into whole blocks and a tail occurs,
+// including grids with singleton axes first, in the middle and last.
+// Each axis is probed on both extrapolation sides, at its end knots,
+// at an interior knot and between knots.
+func TestContractMatchesOneLineReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	axis := func(n int) []float64 {
+		ax := make([]float64, n)
+		x := rng.Float64()
+		for i := range ax {
+			x += 0.3 + rng.Float64()
+			ax[i] = x
+		}
+		return ax
+	}
+	probes := func(ax []float64) []float64 {
+		lo, hi := ax[0], ax[len(ax)-1]
+		if len(ax) == 1 {
+			return []float64{lo - 1, lo, lo + 2}
+		}
+		return []float64{
+			lo - 0.7*(hi-lo), lo, (ax[0] + ax[1]) / 2,
+			ax[len(ax)/2], hi, hi + 0.4*(hi-lo),
+		}
+	}
+	var shapes [][]int
+	for lines := 1; lines <= 17; lines++ {
+		shapes = append(shapes, []int{lines, 5}, []int{1, lines, 3}, []int{lines, 1})
+		for a := 2; a*a <= lines; a++ {
+			if lines%a == 0 {
+				shapes = append(shapes, []int{a, lines / a, 4}, []int{lines / a, 1, a, 2})
+			}
+		}
+	}
+	shapes = append(shapes, []int{6, 6, 6, 8}, []int{6, 6, 5, 8})
+	for _, shape := range shapes {
+		axes := make([][]float64, len(shape))
+		size := 1
+		for d, n := range shape {
+			axes[d] = axis(n)
+			size *= n
+		}
+		vals := make([]float64, size)
+		for i := range vals {
+			vals[i] = rng.NormFloat64()
+		}
+		g, err := NewGrid(axes, vals)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var coords []float64
+		var rec func(d int, c []float64)
+		rec = func(d int, c []float64) {
+			if d == len(axes) {
+				coords = append(coords, c...)
+				return
+			}
+			for _, x := range probes(axes[d]) {
+				c[d] = x
+				rec(d+1, c)
+			}
+		}
+		rec(0, make([]float64, len(axes)))
+
+		dim := len(axes)
+		out := make([]float64, len(coords)/dim)
+		if err := g.EvalBatch(coords, out); err != nil {
+			t.Fatal(err)
+		}
+		for q := range out {
+			c := coords[q*dim : (q+1)*dim]
+			want := referenceContract(g, c)
+			got, err := g.Eval(c...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("shape %v: Eval(%v) = %v, one-line contraction %v (bitwise)", shape, c, got, want)
+			}
+			if math.Float64bits(out[q]) != math.Float64bits(want) {
+				t.Fatalf("shape %v: EvalBatch query %v = %v, one-line contraction %v (bitwise)", shape, c, out[q], want)
+			}
+		}
+	}
+}
+
+// TestEvalRejectsNonFinite: a NaN or infinite coordinate on any axis,
+// singleton axes included, is an error from Eval and from EvalBatch —
+// never a bracket-search panic or a NaN with a nil error — and a
+// rejected batch writes no result.
+func TestEvalRejectsNonFinite(t *testing.T) {
+	g, err := NewGrid([][]float64{{1, 2, 4}, {7}, {0, 1, 3, 6}}, make([]float64, 12))
+	if err != nil {
+		t.Fatal(err)
+	}
+	good := []float64{1.5, 7, 2}
+	for d := range good {
+		for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			q := append([]float64(nil), good...)
+			q[d] = bad
+			if v, err := g.Eval(q...); err == nil {
+				t.Errorf("Eval(%v) = %g with nil error, want an error", q, v)
+			}
+			coords := append(append(append([]float64(nil), good...), q...), good...)
+			out := []float64{-1, -1, -1}
+			err := g.EvalBatch(coords, out)
+			if err == nil || !strings.Contains(err.Error(), "batch query 1") {
+				t.Errorf("EvalBatch with %g on axis %d: got %v, want an error naming query 1", bad, d, err)
+			}
+			for i, v := range out {
+				if v != -1 {
+					t.Errorf("rejected batch wrote out[%d] = %g", i, v)
+				}
+			}
+		}
+	}
 }
 
 // Golden equivalence: on grids shaped like the inductance tables (2-D

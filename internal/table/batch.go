@@ -90,7 +90,7 @@ func (s *Set) SelfLBatch(ws, ls, out []float64) error {
 	defer coordPool.Put(bp)
 	for i := 0; i < n; i++ {
 		w, l := ws[i], ls[i]
-		if !(w > 0) || !(l > 0) {
+		if !positive(w) || !positive(l) {
 			return &BatchError{Index: i, Err: fmt.Errorf("table: SelfL arguments must be positive (w=%g, l=%g)", w, l)}
 		}
 		if err := fault.Check(fault.SplineLookup); err != nil {
@@ -157,7 +157,7 @@ func (s *Set) MutualLBatch(w1s, w2s, sps, ls, out []float64) error {
 	defer coordPool.Put(bp)
 	for i := 0; i < n; i++ {
 		w1, w2, sp, l := w1s[i], w2s[i], sps[i], ls[i]
-		if !(w1 > 0) || !(w2 > 0) || !(sp > 0) || !(l > 0) {
+		if !positive(w1) || !positive(w2) || !positive(sp) || !positive(l) {
 			return &BatchError{Index: i, Err: fmt.Errorf("table: MutualL arguments must be positive (w1=%g, w2=%g, s=%g, l=%g)", w1, w2, sp, l)}
 		}
 		if err := fault.Check(fault.SplineLookup); err != nil {

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"clockrlc/internal/check"
+	"clockrlc/internal/fault"
 	"clockrlc/internal/units"
 )
 
@@ -44,65 +45,77 @@ func batchLookupQueries(rng *rand.Rand, s *Set, n, ndistinct int) (ws, ls, w1s, 
 	return
 }
 
-// TestLookupBatchMatchesScalarBitwise: under every lookup policy, the
-// batch lookups return bit-identical values to the scalar loop, and
-// advance the same counters by the same amounts.
+// batchSizes run from a single query to a 1,024-query batch, the
+// size of one extract-batch shielding group.
+var batchSizes = []int{1, 2, 63, 64, 129, 1024}
+
+// TestLookupBatchMatchesScalarBitwise: under every lookup policy and
+// at every batch size, the batch lookups return bit-identical values
+// to the scalar loop, and advance the same counters by the same
+// amounts.
 func TestLookupBatchMatchesScalarBitwise(t *testing.T) {
 	for _, policy := range []LookupPolicy{LookupExtrapolate, LookupClamp} {
-		s := syntheticSet(t)
-		s.Lookup = policy
-		rng := rand.New(rand.NewSource(42))
-		ws, ls, w1s, w2s, sps, mls := batchLookupQueries(rng, s, 200, 11)
+		for _, n := range batchSizes {
+			s := syntheticSet(t)
+			s.Lookup = policy
+			rng := rand.New(rand.NewSource(42 + int64(n)))
+			// About two queries per geometry: repeats for the dedup,
+			// and many distinct contractions.
+			ws, ls, w1s, w2s, sps, mls := batchLookupQueries(rng, s, n, 1+n/2)
 
-		wantSelf := make([]float64, len(ws))
-		for i := range ws {
-			v, err := s.SelfL(ws[i], ls[i])
-			if err != nil {
-				t.Fatal(err)
+			wantSelf := make([]float64, n)
+			for i := range ws {
+				v, err := s.SelfL(ws[i], ls[i])
+				if err != nil {
+					t.Fatal(err)
+				}
+				wantSelf[i] = v
 			}
-			wantSelf[i] = v
-		}
-		wantMut := make([]float64, len(w1s))
-		for i := range w1s {
-			v, err := s.MutualL(w1s[i], w2s[i], sps[i], mls[i])
-			if err != nil {
-				t.Fatal(err)
+			wantMut := make([]float64, n)
+			for i := range w1s {
+				v, err := s.MutualL(w1s[i], w2s[i], sps[i], mls[i])
+				if err != nil {
+					t.Fatal(err)
+				}
+				wantMut[i] = v
 			}
-			wantMut[i] = v
-		}
 
-		hits0, clamped0 := lookupHits.Value(), lookupClamped.Value()
-		gotSelf := make([]float64, len(ws))
-		if err := s.SelfLBatch(ws, ls, gotSelf); err != nil {
-			t.Fatalf("policy %v: %v", policy, err)
-		}
-		gotMut := make([]float64, len(w1s))
-		if err := s.MutualLBatch(w1s, w2s, sps, mls, gotMut); err != nil {
-			t.Fatalf("policy %v: %v", policy, err)
-		}
-		for i := range gotSelf {
-			if math.Float64bits(gotSelf[i]) != math.Float64bits(wantSelf[i]) {
-				t.Fatalf("policy %v SelfL query %d: batch %v != scalar %v (bitwise)", policy, i, gotSelf[i], wantSelf[i])
+			hits0, clamped0 := lookupHits.Value(), lookupClamped.Value()
+			gotSelf := make([]float64, n)
+			if err := s.SelfLBatch(ws, ls, gotSelf); err != nil {
+				t.Fatalf("policy %v n=%d: %v", policy, n, err)
 			}
-		}
-		for i := range gotMut {
-			if math.Float64bits(gotMut[i]) != math.Float64bits(wantMut[i]) {
-				t.Fatalf("policy %v MutualL query %d: batch %v != scalar %v (bitwise)", policy, i, gotMut[i], wantMut[i])
+			gotMut := make([]float64, n)
+			if err := s.MutualLBatch(w1s, w2s, sps, mls, gotMut); err != nil {
+				t.Fatalf("policy %v n=%d: %v", policy, n, err)
 			}
-		}
-		// The batch pass classifies exactly like the scalar pass did.
-		batchHits := lookupHits.Value() - hits0
-		batchClamped := lookupClamped.Value() - clamped0
-		if batchHits+batchClamped != int64(len(ws)+len(w1s)) {
-			t.Errorf("policy %v: counters classified %d lookups, want %d",
-				policy, batchHits+batchClamped, len(ws)+len(w1s))
+			for i := range gotSelf {
+				if math.Float64bits(gotSelf[i]) != math.Float64bits(wantSelf[i]) {
+					t.Fatalf("policy %v n=%d SelfL query %d: batch %v != scalar %v (bitwise)", policy, n, i, gotSelf[i], wantSelf[i])
+				}
+			}
+			for i := range gotMut {
+				if math.Float64bits(gotMut[i]) != math.Float64bits(wantMut[i]) {
+					t.Fatalf("policy %v n=%d MutualL query %d: batch %v != scalar %v (bitwise)", policy, n, i, gotMut[i], wantMut[i])
+				}
+			}
+			// The batch pass classifies exactly like the scalar pass did.
+			batchHits := lookupHits.Value() - hits0
+			batchClamped := lookupClamped.Value() - clamped0
+			if batchHits+batchClamped != int64(2*n) {
+				t.Errorf("policy %v n=%d: counters classified %d lookups, want %d",
+					policy, n, batchHits+batchClamped, 2*n)
+			}
 		}
 	}
 }
 
 // TestLookupBatchErrorPolicy: under LookupError the batch stops at the
 // first out-of-range query in input order with a *BatchError that
-// unwraps to ErrOutOfRange, exactly as the scalar loop would.
+// unwraps to ErrOutOfRange, exactly as the scalar loop would. At
+// every batch size the first failure in input order is the one named
+// — also when a later query fails too — and fault.SplineLookup is
+// checked once per query, in input order.
 func TestLookupBatchErrorPolicy(t *testing.T) {
 	s := syntheticSet(t)
 	s.Lookup = LookupError
@@ -138,6 +151,55 @@ func TestLookupBatchErrorPolicy(t *testing.T) {
 	if !strings.Contains(err.Error(), "outside table") {
 		t.Errorf("batch error lost the scalar diagnosis: %v", err)
 	}
+
+	defer fault.Reset()
+	for _, n := range batchSizes {
+		ws, ls := make([]float64, n), make([]float64, n)
+		w1s, w2s, sps := make([]float64, n), make([]float64, n), make([]float64, n)
+		for i := 0; i < n; i++ {
+			ws[i], ls[i] = wOK, lOK*(1+float64(i)/float64(n))
+			w1s[i], w2s[i], sps[i] = wOK, wOK, units.Um(1.5)
+		}
+		out := make([]float64, n)
+		selfBatch := func() error { return s.SelfLBatch(ws, ls, out) }
+		mutBatch := func() error { return s.MutualLBatch(w1s, w2s, sps, ls, out) }
+
+		// Out of range at the last query and at one in the middle:
+		// the middle one is named.
+		first := n / 2
+		ws[n-1], ws[first], w1s[n-1], w1s[first] = wBad, wBad, wBad, wBad
+		batches := []struct {
+			name string
+			run  func() error
+		}{{"SelfLBatch", selfBatch}, {"MutualLBatch", mutBatch}}
+		for _, b := range batches {
+			if err := b.run(); !errors.As(err, &be) || be.Index != first || !errors.Is(err, ErrOutOfRange) {
+				t.Errorf("%s n=%d: got %v, want *BatchError at %d unwrapping to ErrOutOfRange", b.name, n, err, first)
+			}
+		}
+		ws[n-1], ws[first], w1s[n-1], w1s[first] = wOK, wOK, wOK, wOK
+
+		for _, b := range batches {
+			// A rule past the batch's end only counts the checks:
+			// one per query, as the scalar loop makes.
+			in := fault.NewInjector(1, fault.Rule{Point: fault.SplineLookup, Mode: fault.ModeError, Nth: n + 1})
+			fault.Register(in)
+			if err := b.run(); err != nil {
+				t.Fatalf("%s n=%d: %v", b.name, n, err)
+			}
+			if got := in.Calls(fault.SplineLookup); got != uint64(n) {
+				t.Errorf("%s n=%d: fault.SplineLookup checked %d times, want %d", b.name, n, got, n)
+			}
+			// The k-th check fails the k-th query: the checks run
+			// in input order.
+			k := 1 + (n-1)*2/3
+			fault.Register(fault.NewInjector(1, fault.Rule{Point: fault.SplineLookup, Mode: fault.ModeError, Nth: k}))
+			if err := b.run(); !errors.As(err, &be) || be.Index != k-1 || !errors.Is(err, fault.ErrInjected) {
+				t.Errorf("%s n=%d: got %v, want *BatchError at %d unwrapping to ErrInjected", b.name, n, err, k-1)
+			}
+			fault.Reset()
+		}
+	}
 }
 
 func TestLookupBatchRejectsBadArgs(t *testing.T) {
@@ -162,6 +224,44 @@ func TestLookupBatchRejectsBadArgs(t *testing.T) {
 	}
 	if err := s.MutualLBatch(nil, nil, nil, nil, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestLookupRejectsNonFinite: a NaN or infinite argument in any
+// position is the "arguments must be positive" error from the scalar
+// and batch lookups under every policy, with checks off — never a NaN
+// with a nil error, and never a value clamped from +Inf.
+func TestLookupRejectsNonFinite(t *testing.T) {
+	s := syntheticSet(t)
+	w, sp, l := units.Um(2), units.Um(1.5), units.Um(300)
+	for _, policy := range []LookupPolicy{LookupExtrapolate, LookupClamp, LookupError} {
+		s.Lookup = policy
+		for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			for arg := 0; arg < 4; arg++ {
+				q := []float64{w, w, sp, l}
+				q[arg] = bad
+				if v, err := s.MutualL(q[0], q[1], q[2], q[3]); err == nil || !strings.Contains(err.Error(), "arguments must be positive") {
+					t.Errorf("policy %v MutualL%v = %g, %v; want the positivity error", policy, q, v, err)
+				}
+				var be *BatchError
+				err := s.MutualLBatch([]float64{w, q[0]}, []float64{w, q[1]}, []float64{sp, q[2]}, []float64{l, q[3]}, make([]float64, 2))
+				if !errors.As(err, &be) || be.Index != 1 || !strings.Contains(err.Error(), "arguments must be positive") {
+					t.Errorf("policy %v MutualLBatch with %v: got %v, want the positivity error at query 1", policy, q, err)
+				}
+				if arg >= 2 {
+					continue
+				}
+				sq := []float64{w, l}
+				sq[arg] = bad
+				if v, err := s.SelfL(sq[0], sq[1]); err == nil || !strings.Contains(err.Error(), "arguments must be positive") {
+					t.Errorf("policy %v SelfL%v = %g, %v; want the positivity error", policy, sq, v, err)
+				}
+				err = s.SelfLBatch([]float64{w, sq[0]}, []float64{l, sq[1]}, make([]float64, 2))
+				if !errors.As(err, &be) || be.Index != 1 || !strings.Contains(err.Error(), "arguments must be positive") {
+					t.Errorf("policy %v SelfLBatch with %v: got %v, want the positivity error at query 1", policy, sq, err)
+				}
+			}
+		}
 	}
 }
 

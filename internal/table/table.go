@@ -545,6 +545,11 @@ func inRange(ax []float64, v float64) bool {
 	return v >= ax[0] && v <= ax[len(ax)-1]
 }
 
+// positive reports whether a lookup argument is a finite positive
+// number: NaN fails the first comparison and +Inf the second, so
+// neither reaches the spline, which rejects both.
+func positive(v float64) bool { return v > 0 && v <= math.MaxFloat64 }
+
 // countLookup classifies a lookup: fully inside every axis range
 // counts as a hit; any out-of-range coordinate counts the lookup as
 // clamped (the spline extrapolates its end slope linearly there).
@@ -574,9 +579,7 @@ func clampTo(ax []float64, v float64) float64 {
 // counted. When the process check engine is armed, the looked-up value
 // itself is checked finite and positive.
 func (s *Set) SelfL(w, l float64) (float64, error) {
-	// The negated form also rejects NaN arguments (NaN > 0 is false),
-	// which would otherwise panic the spline's bracket search.
-	if !(w > 0) || !(l > 0) {
+	if !positive(w) || !positive(l) {
 		return 0, fmt.Errorf("table: SelfL arguments must be positive (w=%g, l=%g)", w, l)
 	}
 	if err := fault.Check(fault.SplineLookup); err != nil {
@@ -622,8 +625,7 @@ func (s *Set) SelfL(w, l float64) (float64, error) {
 // Out-of-range coordinates follow s.Lookup as in SelfL; armed checks
 // require the value finite and non-negative.
 func (s *Set) MutualL(w1, w2, sp, l float64) (float64, error) {
-	// As in SelfL, the negated form also rejects NaN.
-	if !(w1 > 0) || !(w2 > 0) || !(sp > 0) || !(l > 0) {
+	if !positive(w1) || !positive(w2) || !positive(sp) || !positive(l) {
 		return 0, fmt.Errorf("table: MutualL arguments must be positive (w1=%g, w2=%g, s=%g, l=%g)", w1, w2, sp, l)
 	}
 	if err := fault.Check(fault.SplineLookup); err != nil {
