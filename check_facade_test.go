@@ -65,7 +65,7 @@ func TestValidationSurface(t *testing.T) {
 
 	// A strict-policy load rejects the corrupted file with the named
 	// error; parse helpers round-trip the flag spellings.
-	path := filepath.Join(t.TempDir(), "set.json")
+	path := filepath.Join(t.TempDir(), "set.rlct")
 	if err := set.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}

@@ -34,8 +34,9 @@
 //		Shielding: clockrlc.ShieldNone,
 //	})
 //
-// See the examples/ directory for full programs and DESIGN.md /
-// EXPERIMENTS.md for the paper-reproduction map.
+// The package examples run the full quickstart and check what it
+// prints; cmd/figures regenerates the paper's scenarios, and DESIGN.md
+// / EXPERIMENTS.md hold the paper-reproduction map.
 package clockrlc
 
 import (

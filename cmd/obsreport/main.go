@@ -7,7 +7,7 @@
 //
 // Example:
 //
-//	tablegen -workers 8 -trace build.jsonl -o tables.bin
+//	tablegen -workers 8 -trace build.jsonl -out tables.rlct
 //	obsreport build.jsonl
 //	obsreport -top 5 -no-tree build.jsonl
 package main

@@ -30,7 +30,7 @@ func TestRunWithPrebuiltTables(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "set.json")
+	path := filepath.Join(t.TempDir(), "set.rlct")
 	if err := set.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestRunCorruptTableStrictVsWarn(t *testing.T) {
 	// audit can catch it.
 	nw, ns, nl := len(axes.Widths), len(axes.Spacings), len(axes.Lengths)
 	set.Mutual.Vals[((1*nw+1)*ns+0)*nl+1] = 100 * set.Self.Vals[1*nl+1]
-	path := filepath.Join(t.TempDir(), "set.json")
+	path := filepath.Join(t.TempDir(), "set.rlct")
 	if err := set.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,10 @@
 package main
 
 import (
+	"bytes"
 	"context"
+	"math"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -12,8 +15,8 @@ import (
 )
 
 func TestRunBuildsLoadableTables(t *testing.T) {
-	out := filepath.Join(t.TempDir(), "set.json")
-	err := run(context.Background(), out, "v3", "m6", 2, "cu", "coplanar", 2, 1,
+	out := filepath.Join(t.TempDir(), "set.rlct")
+	err := run(context.Background(), out, "m6", 2, "cu", "coplanar", 2, 1,
 		50, 1, 4, 2, 1, 2, 2, 100, 1000, 3, 2, "")
 	if err != nil {
 		t.Fatal(err)
@@ -35,8 +38,8 @@ func TestRunBuildsLoadableTables(t *testing.T) {
 // lossy codec change (float formatting, reordered values, dropped
 // config) fails here before it can poison a production library.
 func TestRoundTripBitForBit(t *testing.T) {
-	out := filepath.Join(t.TempDir(), "set.json")
-	if err := run(context.Background(), out, "v2", "m6", 2, "cu", "coplanar", 2, 1,
+	out := filepath.Join(t.TempDir(), "set.rlct")
+	if err := run(context.Background(), out, "m6", 2, "cu", "coplanar", 2, 1,
 		50, 1, 4, 2, 1, 2, 2, 100, 1000, 3, 2, ""); err != nil {
 		t.Fatal(err)
 	}
@@ -47,11 +50,13 @@ func TestRoundTripBitForBit(t *testing.T) {
 	// Rebuild the identical sweep in memory (builds are deterministic
 	// at any worker count).
 	cfg := table.Config{
-		Name:      "m6/coplanar",
-		Thickness: units.Um(2),
-		Rho:       units.RhoCopper,
-		Shielding: geom.ShieldNone,
-		Frequency: units.SignificantFrequency(50 * units.PicoSecond),
+		Name:           "m6/coplanar",
+		Thickness:      units.Um(2),
+		Rho:            units.RhoCopper,
+		Shielding:      geom.ShieldNone,
+		PlaneGap:       units.Um(2),
+		PlaneThickness: units.Um(1),
+		Frequency:      units.SignificantFrequency(50 * units.PicoSecond),
 	}
 	axes := table.Axes{
 		Widths:   table.LogAxis(units.Um(1), units.Um(4), 2),
@@ -62,34 +67,7 @@ func TestRoundTripBitForBit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(loaded.Self.Vals) != len(built.Self.Vals) || len(loaded.Mutual.Vals) != len(built.Mutual.Vals) {
-		t.Fatalf("value counts drifted: self %d/%d, mutual %d/%d",
-			len(loaded.Self.Vals), len(built.Self.Vals), len(loaded.Mutual.Vals), len(built.Mutual.Vals))
-	}
-	for k, v := range built.Self.Vals {
-		if loaded.Self.Vals[k] != v {
-			t.Fatalf("self[%d]: loaded %g != built %g", k, loaded.Self.Vals[k], v)
-		}
-	}
-	for k, v := range built.Mutual.Vals {
-		if loaded.Mutual.Vals[k] != v {
-			t.Fatalf("mutual[%d]: loaded %g != built %g", k, loaded.Mutual.Vals[k], v)
-		}
-	}
-	// Off-grid lookups interpolate through the same coefficients.
-	a, err1 := built.SelfL(units.Um(1.7), units.Um(430))
-	b, err2 := loaded.SelfL(units.Um(1.7), units.Um(430))
-	if err1 != nil || err2 != nil {
-		t.Fatal(err1, err2)
-	}
-	if a != b {
-		t.Errorf("off-grid lookup drifted through the round trip: %g vs %g", a, b)
-	}
-	m1, _ := built.MutualL(units.Um(1.3), units.Um(1.6), units.Um(1.4), units.Um(700))
-	m2, _ := loaded.MutualL(units.Um(1.3), units.Um(1.6), units.Um(1.4), units.Um(700))
-	if m1 != m2 {
-		t.Errorf("off-grid mutual drifted through the round trip: %g vs %g", m1, m2)
-	}
+	sameValues(t, built, loaded)
 }
 
 // Re-running tablegen against a warm cache must sweep nothing: the
@@ -98,25 +76,25 @@ func TestRunCacheHitSkipsSolves(t *testing.T) {
 	dir := t.TempDir()
 	cacheDir := filepath.Join(dir, "cache")
 	args := func(out string) error {
-		return run(context.Background(), out, "v3", "m6", 2, "cu", "coplanar", 2, 1,
+		return run(context.Background(), out, "m6", 2, "cu", "coplanar", 2, 1,
 			50, 1, 4, 2, 1, 2, 2, 100, 1000, 3, 1, cacheDir)
 	}
-	if err := args(filepath.Join(dir, "a.json")); err != nil {
+	if err := args(filepath.Join(dir, "a.rlct")); err != nil {
 		t.Fatal(err)
 	}
 	solves := obs.GetCounter("table.solver_calls")
 	solves0 := solves.Value()
-	if err := args(filepath.Join(dir, "b.json")); err != nil {
+	if err := args(filepath.Join(dir, "b.rlct")); err != nil {
 		t.Fatal(err)
 	}
 	if got := solves.Value() - solves0; got != 0 {
 		t.Errorf("cached rerun performed %d solver calls, want 0", got)
 	}
-	a, err := table.LoadFile(filepath.Join(dir, "a.json"))
+	a, err := table.LoadFile(filepath.Join(dir, "a.rlct"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := table.LoadFile(filepath.Join(dir, "b.json"))
+	b, err := table.LoadFile(filepath.Join(dir, "b.rlct"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,105 +106,161 @@ func TestRunCacheHitSkipsSolves(t *testing.T) {
 }
 
 func TestRunRejectsBadFlags(t *testing.T) {
-	out := filepath.Join(t.TempDir(), "set.json")
-	if err := run(context.Background(), out, "v3", "m6", 2, "unobtainium", "coplanar", 2, 1,
+	out := filepath.Join(t.TempDir(), "set.rlct")
+	if err := run(context.Background(), out, "m6", 2, "unobtainium", "coplanar", 2, 1,
 		50, 1, 4, 2, 1, 2, 2, 100, 1000, 3, 1, ""); err == nil {
 		t.Error("accepted unknown metal")
 	}
-	if err := run(context.Background(), out, "v3", "m6", 2, "cu", "waveguide", 2, 1,
+	if err := run(context.Background(), out, "m6", 2, "cu", "waveguide", 2, 1,
 		50, 1, 4, 2, 1, 2, 2, 100, 1000, 3, 1, ""); err == nil {
 		t.Error("accepted unknown shielding")
 	}
-	if err := run(context.Background(), out, "v7", "m6", 2, "cu", "coplanar", 2, 1,
-		50, 1, 4, 2, 1, 2, 2, 100, 1000, 3, 1, ""); err == nil {
-		t.Error("accepted unknown format")
+}
+
+// v2Fixture is a v2 JSON set written by the last tablegen that had a
+// JSON writer (`-format v2 -name m6 -wmin 1 -wmax 4 -nw 2 -smin 1
+// -smax 2 -ns 2 -lmin 100 -lmax 1000 -nl 3`, other flags at their
+// defaults): the real input the migrate tests convert.
+const v2Fixture = "testdata/m6_coplanar_v2.json"
+
+// loadV2Fixture loads the fixture after checking it really is a v2
+// JSON record, so the migrate tests exercise the legacy reader.
+func loadV2Fixture(t *testing.T) *table.Set {
+	t.Helper()
+	raw, err := os.ReadFile(v2Fixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasPrefix(raw, []byte(`{"version":2,`)) {
+		t.Fatalf("%s is not a v2 JSON record: %.20q", v2Fixture, raw)
+	}
+	set, err := table.LoadFile(v2Fixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return set
+}
+
+// sameValues fails unless got holds orig's config, axes and values
+// bit for bit and answers one off-grid self and mutual lookup with
+// the same bits.
+func sameValues(t *testing.T, orig, got *table.Set) {
+	t.Helper()
+	want := orig.Config
+	want.Workers = 0 // an execution detail the v3 codec does not store
+	if got.Config != want {
+		t.Errorf("config drifted: %+v, want %+v", got.Config, want)
+	}
+	for name, pair := range map[string][2][]float64{
+		"widths":   {orig.Axes.Widths, got.Axes.Widths},
+		"spacings": {orig.Axes.Spacings, got.Axes.Spacings},
+		"lengths":  {orig.Axes.Lengths, got.Axes.Lengths},
+		"self":     {orig.Self.Vals, got.Self.Vals},
+		"mutual":   {orig.Mutual.Vals, got.Mutual.Vals},
+	} {
+		a, b := pair[0], pair[1]
+		if len(a) != len(b) {
+			t.Fatalf("%s: %d values, want %d", name, len(b), len(a))
+		}
+		for k := range a {
+			if math.Float64bits(a[k]) != math.Float64bits(b[k]) {
+				t.Fatalf("%s[%d] drifted: %g != %g", name, k, b[k], a[k])
+			}
+		}
+	}
+	a, err1 := orig.SelfL(units.Um(1.7), units.Um(430))
+	b, err2 := got.SelfL(units.Um(1.7), units.Um(430))
+	if err1 != nil || err2 != nil || math.Float64bits(a) != math.Float64bits(b) {
+		t.Errorf("off-grid self lookup drifted: %g vs %g (%v, %v)", a, b, err1, err2)
+	}
+	m1, err1 := orig.MutualL(units.Um(1.3), units.Um(1.6), units.Um(1.4), units.Um(700))
+	m2, err2 := got.MutualL(units.Um(1.3), units.Um(1.6), units.Um(1.4), units.Um(700))
+	if err1 != nil || err2 != nil || math.Float64bits(m1) != math.Float64bits(m2) {
+		t.Errorf("off-grid mutual lookup drifted: %g vs %g (%v, %v)", m1, m2, err1, err2)
 	}
 }
 
 // TestMigrateFileBitIdentical: `tablegen migrate` converts a v2 JSON
-// artifact to the v3 binary codec (and back) without perturbing a
-// single value bit.
+// artifact to the v3 binary codec without perturbing a single bit.
 func TestMigrateFileBitIdentical(t *testing.T) {
-	dir := t.TempDir()
-	v2 := filepath.Join(dir, "set.json")
-	if err := run(context.Background(), v2, "v2", "m6", 2, "cu", "coplanar", 2, 1,
-		50, 1, 4, 2, 1, 2, 2, 100, 1000, 3, 2, ""); err != nil {
+	orig := loadV2Fixture(t)
+	v3 := filepath.Join(t.TempDir(), "set.rlct")
+	if err := migrate(v2Fixture, v3); err != nil {
 		t.Fatal(err)
 	}
-	v3 := filepath.Join(dir, "set.rlct")
-	if err := migrate(v2, v3, "v3"); err != nil {
-		t.Fatal(err)
-	}
-	back := filepath.Join(dir, "back.json")
-	if err := migrate(v3, back, "v2"); err != nil {
-		t.Fatal(err)
-	}
-	orig, err := table.LoadFile(v2)
+	got, err := table.LoadFile(v3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, path := range []string{v3, back} {
-		got, err := table.LoadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for k, v := range orig.Self.Vals {
-			if got.Self.Vals[k] != v {
-				t.Fatalf("%s: self[%d] drifted: %g != %g", path, k, got.Self.Vals[k], v)
-			}
-		}
-		for k, v := range orig.Mutual.Vals {
-			if got.Mutual.Vals[k] != v {
-				t.Fatalf("%s: mutual[%d] drifted: %g != %g", path, k, got.Mutual.Vals[k], v)
-			}
-		}
-		a, err1 := orig.SelfL(units.Um(1.7), units.Um(430))
-		b, err2 := got.SelfL(units.Um(1.7), units.Um(430))
-		if err1 != nil || err2 != nil || a != b {
-			t.Fatalf("%s: off-grid lookup drifted: %g vs %g (%v, %v)", path, a, b, err1, err2)
-		}
-		got.Close()
-	}
-	if err := migrate(v2, v3, "v9"); err == nil {
-		t.Error("accepted unknown target format")
-	}
+	defer got.Close()
+	sameValues(t, orig, got)
 }
 
 // TestMigrateDir: directory mode converts a whole library in one call.
 func TestMigrateDir(t *testing.T) {
+	orig := loadV2Fixture(t)
 	dir := t.TempDir()
-	v2 := filepath.Join(dir, "set.json")
-	if err := run(context.Background(), v2, "v2", "m6", 2, "cu", "coplanar", 2, 1,
-		50, 1, 4, 2, 1, 2, 2, 100, 1000, 3, 2, ""); err != nil {
+	srcDir := filepath.Join(dir, "lib")
+	copyFixture(t, srcDir)
+	dstDir := filepath.Join(dir, "lib3")
+	if err := migrate(srcDir, dstDir); err != nil {
 		t.Fatal(err)
 	}
-	srcDir := filepath.Join(dir, "lib")
-	set, err := table.LoadFile(v2)
+	entries, err := os.ReadDir(dstDir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lib := table.NewLibrary()
-	if err := lib.Add(set); err != nil {
-		t.Fatal(err)
-	}
-	if err := lib.SaveDir(srcDir); err != nil {
-		t.Fatal(err)
-	}
-	dstDir := filepath.Join(dir, "lib3")
-	if err := migrate(srcDir, dstDir, "v3"); err != nil {
-		t.Fatal(err)
+	if len(entries) != 1 || entries[0].Name() != "m6%2Fcoplanar.rlct" {
+		t.Fatalf("migrated library holds %v, want one m6%%2Fcoplanar.rlct", entries)
 	}
 	migrated, err := table.LoadDir(dstDir)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer migrated.Close()
 	got, err := migrated.Get("m6/coplanar")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for k, v := range set.Self.Vals {
-		if got.Self.Vals[k] != v {
-			t.Fatalf("self[%d] drifted through dir migration: %g != %g", k, got.Self.Vals[k], v)
+	sameValues(t, orig, got)
+}
+
+// Migrating a library into its own directory used to report success
+// and leave x.rlct beside x.json, so the next LoadDir failed on a
+// duplicate set. It is refused before anything is written.
+func TestMigrateRefusesSameDir(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "lib")
+	copyFixture(t, dir)
+	for _, dst := range []string{dir, dir + string(filepath.Separator) + "."} {
+		if err := migrate(dir, dst); err == nil {
+			t.Errorf("migrate %s %s succeeded", dir, dst)
 		}
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 {
+		t.Errorf("the refused migrate wrote into the source: %v", entries)
+	}
+	lib, err := table.LoadDir(dir)
+	if err != nil {
+		t.Fatalf("the source library no longer loads: %v", err)
+	}
+	lib.Close()
+}
+
+// copyFixture makes dir a one-set library holding the v2 fixture.
+func copyFixture(t *testing.T, dir string) {
+	t.Helper()
+	raw, err := os.ReadFile(v2Fixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "m6_coplanar.json"), raw, 0o644); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -14,22 +14,24 @@ import (
 var docFiles = []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md"}
 
 var (
-	benchFuncRE = regexp.MustCompile(`(?m)^func (Benchmark\w+)\(`)
-	benchRefRE  = regexp.MustCompile(`\bBenchmark[A-Z0-9]\w*`)
-	cmdRefRE    = regexp.MustCompile(`\bcmd/(\w+)`)
-	makeRefRE   = regexp.MustCompile("`make\\s+([\\w-]+)")
-	makeRuleRE  = regexp.MustCompile(`(?m)^([\w-]+):`)
-	pathRefRE   = regexp.MustCompile(`\bscripts/[\w./-]*\w|\bBENCH[_]\w+\.json|\b\w+_output\.txt`)
+	testFuncRE = regexp.MustCompile(`(?m)^func ((?:Benchmark|Example)\w*)\(`)
+	benchRefRE = regexp.MustCompile(`\bBenchmark[A-Z0-9]\w*`)
+	exRefRE    = regexp.MustCompile(`\bExample(?:_\w+|[A-Z]\w*)`)
+	cmdRefRE   = regexp.MustCompile(`\b(cmd|examples)/(\w+)`)
+	makeRefRE  = regexp.MustCompile("`make\\s+([\\w-]+)")
+	makeRuleRE = regexp.MustCompile(`(?m)^([\w-]+):`)
+	pathRefRE  = regexp.MustCompile(`\bscripts/[\w./-]*\w|\bBENCH[_]\w+\.json|\b\w+_output\.txt`)
 )
 
 // TestDocsNameExistingSurfaces keeps the docs from pointing at things
-// that are not in the repository: every Benchmark… identifier is
-// defined in some _test.go, every cmd/<x> is a directory, every
+// that are not in the repository: every Benchmark… and Example…
+// identifier is defined in some _test.go, every cmd/<x> and
+// examples/<x> is a directory, every
 // backticked `make <target>` is a Makefile target, and every path
 // under scripts/, every BENCH-prefixed JSON file and every
 // …_output.txt file the docs name exists.
 func TestDocsNameExistingSurfaces(t *testing.T) {
-	benches := map[string]bool{}
+	funcs := map[string]bool{} // Benchmark… and Example… functions
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -44,8 +46,8 @@ func TestDocsNameExistingSurfaces(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		for _, m := range benchFuncRE.FindAllStringSubmatch(string(src), -1) {
-			benches[m[1]] = true
+		for _, m := range testFuncRE.FindAllStringSubmatch(string(src), -1) {
+			funcs[m[1]] = true
 		}
 		return nil
 	})
@@ -67,14 +69,14 @@ func TestDocsNameExistingSurfaces(t *testing.T) {
 			t.Fatal(err)
 		}
 		text := string(raw)
-		for _, ref := range benchRefRE.FindAllString(text, -1) {
-			if !benches[ref] {
+		for _, ref := range append(benchRefRE.FindAllString(text, -1), exRefRE.FindAllString(text, -1)...) {
+			if !funcs[ref] {
 				t.Errorf("%s names %s, which no _test.go defines", doc, ref)
 			}
 		}
 		for _, m := range cmdRefRE.FindAllStringSubmatch(text, -1) {
-			if fi, err := os.Stat(filepath.Join("cmd", m[1])); err != nil || !fi.IsDir() {
-				t.Errorf("%s names cmd/%s, which is not a directory", doc, m[1])
+			if fi, err := os.Stat(filepath.Join(m[1], m[2])); err != nil || !fi.IsDir() {
+				t.Errorf("%s names %s/%s, which is not a directory", doc, m[1], m[2])
 			}
 		}
 		for _, ref := range pathRefRE.FindAllString(text, -1) {

@@ -211,7 +211,7 @@ func TestCorruptCachedTableStrictVsWarn(t *testing.T) {
 	nw, ns, nl := len(s.Axes.Widths), len(s.Axes.Spacings), len(s.Axes.Lengths)
 	i := 2
 	s.Mutual.Vals[((i*nw+i)*ns+1)*nl+0] = 2 * s.Self.Vals[i*nl+0]
-	path := filepath.Join(t.TempDir(), "m6-synthetic.json")
+	path := filepath.Join(t.TempDir(), "m6-synthetic.rlct")
 	if err := s.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}

@@ -267,7 +267,7 @@ func (c *Cache) PutCtx(ctx context.Context, s *Set) error {
 		if err := fault.Check(fault.CacheWrite); err != nil {
 			return err
 		}
-		return s.SaveFileV3(c.Path(key))
+		return s.SaveFile(c.Path(key))
 	})
 	if err != nil {
 		return err

@@ -82,7 +82,7 @@ func TestCacheStrictAuditViolationPropagates(t *testing.T) {
 		[][]float64{axes.Widths, axes.Widths, axes.Spacings, axes.Lengths}, mutVals); err != nil {
 		t.Fatal(err)
 	}
-	if err := bad.SaveFileV3(c.Path(key)); err != nil {
+	if err := bad.SaveFile(c.Path(key)); err != nil {
 		t.Fatal(err)
 	}
 

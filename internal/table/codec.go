@@ -10,14 +10,14 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 
 	"clockrlc/internal/check"
 	"clockrlc/internal/spline"
 )
 
-// fileFormat is the on-disk JSON schema of a table set. Only the
-// axes and raw values are stored; splines are rebuilt at load time.
+// fileFormat is the on-disk JSON schema of the legacy table-set
+// codecs. Only the axes and raw values are stored; splines are
+// rebuilt at load time.
 //
 // Version history:
 //
@@ -26,9 +26,10 @@ import (
 //	     checksum field empty) so torn or bit-rotted files are caught
 //	     at load instead of poisoning a lookup.
 //
-// Loads accept v1 (the migration path for pre-existing artifacts) and
-// v2; saves always write the current version. Versions newer than
-// this build are rejected rather than guessed at.
+// Both are read-only: loads accept them as the input of
+// `tablegen migrate`, and every save writes the v3 binary codec
+// (codecv3.go). JSON versions newer than v2 are rejected rather than
+// guessed at.
 type fileFormat struct {
 	Version    int       `json:"version"`
 	Config     Config    `json:"config"`
@@ -56,59 +57,6 @@ func (ff fileFormat) checksum() (string, error) {
 	}
 	sum := sha256.Sum256(b)
 	return hex.EncodeToString(sum[:]), nil
-}
-
-// Save writes the set as JSON in the current format version,
-// including the integrity checksum.
-func (s *Set) Save(w io.Writer) error {
-	ff := fileFormat{
-		Version:    formatVersion,
-		Config:     s.Config,
-		Axes:       s.Axes,
-		SelfVals:   s.Self.Vals,
-		MutualVals: s.Mutual.Vals,
-	}
-	sum, err := ff.checksum()
-	if err != nil {
-		return fmt.Errorf("table: %w", err)
-	}
-	ff.Checksum = sum
-	enc := json.NewEncoder(w)
-	return enc.Encode(ff)
-}
-
-// SaveFile writes the set to a file path atomically: the record is
-// written to a temporary file in the same directory, fsynced, and
-// renamed over the destination, so a crash mid-save can never leave a
-// truncated file under the final name. The directory is fsynced after
-// the rename so the new name itself survives a crash.
-func (s *Set) SaveFile(path string) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return fmt.Errorf("table: save %s: %w", path, err)
-	}
-	tmpName := tmp.Name()
-	defer os.Remove(tmpName) // no-op once renamed
-	if err := s.Save(tmp); err != nil {
-		tmp.Close()
-		return fmt.Errorf("table: save %s: %w", path, err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("table: save %s: sync: %w", path, err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("table: save %s: close: %w", path, err)
-	}
-	if err := os.Rename(tmpName, path); err != nil {
-		return fmt.Errorf("table: save %s: %w", path, err)
-	}
-	if d, err := os.Open(dir); err == nil {
-		d.Sync() // best effort; the data itself is already durable
-		d.Close()
-	}
-	return nil
 }
 
 // load decodes and validates a record, sniffing the v3 binary magic
@@ -179,10 +127,10 @@ func loadJSON(r io.Reader) (*Set, error) {
 	return &Set{Config: ff.Config, Axes: ff.Axes, Self: selfGrid, Mutual: mutGrid}, nil
 }
 
-// Load reads a set previously written by Save, verifying the
-// checksum (v2+) and the value counts against the axes product, and
-// rebuilding the interpolants. When the process check engine is
-// armed, the loaded set is additionally audited against the physical
+// Load reads a set previously written by Save, or a legacy v1/v2
+// JSON record, verifying its checksum (v2+) and the value counts
+// against the axes product. When the process check engine is armed,
+// the loaded set is additionally audited against the physical
 // invariants — the checksum proves the bytes are the ones saved, the
 // audit proves the values could have come from a correct build.
 func Load(r io.Reader) (*Set, error) {

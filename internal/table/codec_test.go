@@ -24,7 +24,7 @@ func codecTestSet(t *testing.T) *Set {
 // saveToFile writes the set and returns the path and raw bytes.
 func saveToFile(t *testing.T, set *Set) (string, []byte) {
 	t.Helper()
-	path := filepath.Join(t.TempDir(), "set.json")
+	path := filepath.Join(t.TempDir(), "set.rlct")
 	if err := set.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
@@ -33,6 +33,30 @@ func saveToFile(t *testing.T, set *Set) (string, []byte) {
 		t.Fatal(err)
 	}
 	return path, raw
+}
+
+// encodeJSON is a test-only encoder for the read-only legacy codec:
+// the checksummed v2 JSON record, byte for byte as the v2 writer
+// produced it, so the decoder's tests can build inputs from any set.
+func encodeJSON(tb testing.TB, s *Set) []byte {
+	tb.Helper()
+	ff := fileFormat{
+		Version:    formatVersion,
+		Config:     s.Config,
+		Axes:       s.Axes,
+		SelfVals:   s.Self.Vals,
+		MutualVals: s.Mutual.Vals,
+	}
+	sum, err := ff.checksum()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	ff.Checksum = sum
+	var buf bytes.Buffer
+	if err := json.NewEncoder(&buf).Encode(ff); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
 }
 
 // A crash mid-save must never leave a truncated record under the
@@ -70,42 +94,53 @@ func TestSaveFileIsAtomic(t *testing.T) {
 	}
 }
 
-// The torn-write regression: a file truncated mid-record (what the
-// old non-atomic Save left after a crash) must fail loudly with an
-// error naming the file — not poison the library or panic a spline.
+// The torn-write regression: a file truncated mid-record (what a
+// non-atomic save leaves after a crash) must fail loudly with an
+// error naming the file — not poison the library or panic a spline —
+// in either codec the reader accepts.
 func TestLoadRejectsTornWrite(t *testing.T) {
 	set := codecTestSet(t)
-	path, raw := saveToFile(t, set)
-	torn := filepath.Join(filepath.Dir(path), "torn.json")
-	if err := os.WriteFile(torn, raw[:len(raw)/2], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	_, err := LoadFile(torn)
-	if err == nil {
-		t.Fatal("LoadFile accepted a torn record")
-	}
-	if !strings.Contains(err.Error(), "torn.json") {
-		t.Errorf("torn-write error does not name the file: %v", err)
-	}
-	// A torn file in a library directory fails LoadDir with the same
-	// identification instead of a silent partial library.
-	if err := set.SaveFile(filepath.Join(filepath.Dir(path), "good2.json")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadDir(filepath.Dir(path)); err == nil {
-		t.Error("LoadDir accepted a directory with a torn record")
+	_, v3 := saveToFile(t, set)
+	for _, tc := range []struct {
+		ext string
+		raw []byte
+	}{
+		{".rlct", v3},
+		{".json", encodeJSON(t, set)},
+	} {
+		dir := t.TempDir()
+		torn := filepath.Join(dir, "torn"+tc.ext)
+		if err := os.WriteFile(torn, tc.raw[:len(tc.raw)/2], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := LoadFile(torn)
+		if err == nil {
+			t.Fatalf("LoadFile accepted a torn %s record", tc.ext)
+		}
+		if !strings.Contains(err.Error(), "torn"+tc.ext) {
+			t.Errorf("torn-write error does not name the file: %v", err)
+		}
+		// A torn file in a library directory fails LoadDir with the
+		// same identification instead of a silent partial library.
+		if err := set.SaveFile(filepath.Join(dir, "good2.rlct")); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadDir(dir); err == nil {
+			t.Errorf("LoadDir accepted a directory with a torn %s record", tc.ext)
+		}
 	}
 }
 
+// The bit-rot case for the JSON codec (the v3 one is
+// TestCodecV3RejectsCorruption's bit_flip_value).
 func TestLoadRejectsBadChecksum(t *testing.T) {
 	set := codecTestSet(t)
-	path, raw := saveToFile(t, set)
 	var ff fileFormat
-	if err := json.Unmarshal(raw, &ff); err != nil {
+	if err := json.Unmarshal(encodeJSON(t, set), &ff); err != nil {
 		t.Fatal(err)
 	}
 	if ff.Version != formatVersion || ff.Checksum == "" {
-		t.Fatalf("saved record: version %d, checksum %q", ff.Version, ff.Checksum)
+		t.Fatalf("encoded record: version %d, checksum %q", ff.Version, ff.Checksum)
 	}
 	// Corrupt one stored value; the record stays valid JSON with the
 	// right counts, so only the checksum can catch it.
@@ -114,7 +149,7 @@ func TestLoadRejectsBadChecksum(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bad := filepath.Join(filepath.Dir(path), "bitrot.json")
+	bad := filepath.Join(t.TempDir(), "bitrot.json")
 	if err := os.WriteFile(bad, mut, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -216,14 +251,14 @@ func TestLoadMigratesV1(t *testing.T) {
 }
 
 // Stale temp files from a crashed save must not break LoadDir: they
-// do not end in .json and are skipped.
+// end in neither .rlct nor .json and are skipped.
 func TestLoadDirSkipsTempFiles(t *testing.T) {
 	set := codecTestSet(t)
 	dir := t.TempDir()
 	if err := set.SaveFile(filepath.Join(dir, fileName(set.Config.Name))); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, "set.json.tmp-123"), []byte("half a reco"), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, "set.rlct.tmp-123"), []byte("half a reco"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	l, err := LoadDir(dir)

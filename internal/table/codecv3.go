@@ -15,7 +15,8 @@ import (
 	"clockrlc/internal/spline"
 )
 
-// Codec v3 is the zero-copy binary format: a little-endian,
+// Codec v3 is the zero-copy binary format every save writes (the v1/v2
+// JSON codecs in codec.go are read-only): a little-endian,
 // 8-byte-aligned layout whose on-disk shape is the in-memory shape, so
 // a load can mmap the file and point the spline grids straight into
 // the mapping — no parse, no float copies, no tridiagonal solves (the
@@ -92,8 +93,8 @@ func checkU32(field string, v int) error {
 	return nil
 }
 
-// encodeV3 serialises the set to the v3 byte layout.
-func (s *Set) encodeV3() ([]byte, error) {
+// encode serialises the set to the v3 byte layout.
+func (s *Set) encode() ([]byte, error) {
 	if s.Self == nil || s.Mutual == nil {
 		return nil, errors.New("set has no grids")
 	}
@@ -168,9 +169,9 @@ func (s *Set) encodeV3() ([]byte, error) {
 	return buf, nil
 }
 
-// SaveV3 writes the set in the v3 binary format.
-func (s *Set) SaveV3(w io.Writer) error {
-	buf, err := s.encodeV3()
+// Save writes the set in the v3 binary format.
+func (s *Set) Save(w io.Writer) error {
+	buf, err := s.encode()
 	if err != nil {
 		return fmt.Errorf("table: %w", err)
 	}
@@ -178,12 +179,14 @@ func (s *Set) SaveV3(w io.Writer) error {
 	return err
 }
 
-// SaveFileV3 writes the set to path in the v3 binary format with the
-// same atomicity guarantees as SaveFile (temp file, fsync, rename,
-// directory sync). By convention v3 files use the .rlct extension so
-// LoadDir can discover them next to legacy .json sets.
-func (s *Set) SaveFileV3(path string) error {
-	buf, err := s.encodeV3()
+// SaveFile writes the set to path in the v3 binary format atomically:
+// the record is written to a temporary file in the same directory,
+// fsynced, and renamed over the destination, so a crash mid-save can
+// never leave a truncated file under the final name. The directory is
+// fsynced after the rename so the new name itself survives a crash.
+// By convention table files use the .rlct extension (see fileName).
+func (s *Set) SaveFile(path string) error {
+	buf, err := s.encode()
 	if err != nil {
 		return fmt.Errorf("table: save %s: %w", path, err)
 	}

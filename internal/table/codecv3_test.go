@@ -52,7 +52,7 @@ func TestCodecV3RoundTripBitIdentical(t *testing.T) {
 	orig.Config.Workers = 7 // execution detail: not persisted by v3
 
 	path := filepath.Join(t.TempDir(), "set.rlct")
-	if err := orig.SaveFileV3(path); err != nil {
+	if err := orig.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
 	got, err := LoadFile(path)
@@ -96,9 +96,8 @@ func TestCodecV3RoundTripBitIdentical(t *testing.T) {
 // bit-identical lookup results.
 func TestCodecV3GoldenMigration(t *testing.T) {
 	dir := t.TempDir()
-	orig := syntheticSet(t)
 	jsonPath := filepath.Join(dir, "set.json")
-	if err := orig.SaveFile(jsonPath); err != nil {
+	if err := os.WriteFile(jsonPath, encodeJSON(t, syntheticSet(t)), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -107,7 +106,7 @@ func TestCodecV3GoldenMigration(t *testing.T) {
 		t.Fatal(err)
 	}
 	v3Path := filepath.Join(dir, "set.rlct")
-	if err := fromJSON.SaveFileV3(v3Path); err != nil {
+	if err := fromJSON.SaveFile(v3Path); err != nil {
 		t.Fatal(err)
 	}
 	fromV3, err := LoadFile(v3Path)
@@ -138,7 +137,7 @@ func TestCodecV3GoldenMigration(t *testing.T) {
 func TestCodecV3LoadFromReader(t *testing.T) {
 	orig := syntheticSet(t)
 	var buf bytes.Buffer
-	if err := orig.SaveV3(&buf); err != nil {
+	if err := orig.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
 	got, err := Load(&buf)
@@ -161,7 +160,7 @@ func TestCodecV3LoadFromReader(t *testing.T) {
 func TestCodecV3RejectsCorruption(t *testing.T) {
 	orig := syntheticSet(t)
 	var buf bytes.Buffer
-	if err := orig.SaveV3(&buf); err != nil {
+	if err := orig.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
 	good := buf.Bytes()
@@ -215,7 +214,7 @@ func TestCodecV3RejectsCorruption(t *testing.T) {
 func TestCodecV3CloseIdempotent(t *testing.T) {
 	orig := syntheticSet(t)
 	path := filepath.Join(t.TempDir(), "set.rlct")
-	if err := orig.SaveFileV3(path); err != nil {
+	if err := orig.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
 	s, err := LoadFile(path)
@@ -241,12 +240,12 @@ func TestLoadDirMixedFormats(t *testing.T) {
 	dir := t.TempDir()
 	a := syntheticSet(t)
 	a.Config.Name = "m6/json"
-	if err := a.SaveFile(filepath.Join(dir, fileName(a.Config.Name))); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, "m6-json.json"), encodeJSON(t, a), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	b := syntheticSet(t)
 	b.Config.Name = "m6/v3"
-	if err := b.SaveFileV3(filepath.Join(dir, fileNameExt(b.Config.Name, ".rlct"))); err != nil {
+	if err := b.SaveFile(filepath.Join(dir, fileName(b.Config.Name))); err != nil {
 		t.Fatal(err)
 	}
 	lib, err := LoadDir(dir)

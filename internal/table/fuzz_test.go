@@ -20,18 +20,8 @@ import (
 	"clockrlc/internal/units"
 )
 
-// fuzzSeedRecord serialises a small valid set for the decode corpus.
-func fuzzSeedRecord(tb testing.TB) []byte {
-	s := syntheticSet(tb)
-	var buf bytes.Buffer
-	if err := s.Save(&buf); err != nil {
-		tb.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
 func FuzzLoadFile(f *testing.F) {
-	valid := fuzzSeedRecord(f)
+	valid := encodeJSON(f, syntheticSet(f)) // a v2 JSON record
 	f.Add(valid)
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`{"version":1}`))
@@ -70,7 +60,7 @@ func FuzzLoadFile(f *testing.F) {
 // unescapeFileName inverts fileName's %XX escaping (test-local; the
 // production mapping is one-way on purpose).
 func unescapeFileName(fn string) (string, bool) {
-	fn, ok := strings.CutSuffix(fn, ".json")
+	fn, ok := strings.CutSuffix(fn, ".rlct")
 	if !ok {
 		return "", false
 	}
@@ -113,8 +103,8 @@ func FuzzLibraryFileName(f *testing.F) {
 	f.Add("")
 	f.Fuzz(func(t *testing.T, name string) {
 		fn := fileName(name)
-		if !strings.HasSuffix(fn, ".json") {
-			t.Fatalf("fileName(%q) = %q lacks the .json suffix", name, fn)
+		if !strings.HasSuffix(fn, ".rlct") {
+			t.Fatalf("fileName(%q) = %q lacks the .rlct suffix", name, fn)
 		}
 		for i := 0; i < len(fn); i++ {
 			switch ch := fn[i]; {

@@ -21,7 +21,7 @@ import (
 func fuzzSeedV3(tb testing.TB) []byte {
 	s := syntheticSet(tb)
 	var buf bytes.Buffer
-	if err := s.SaveV3(&buf); err != nil {
+	if err := s.Save(&buf); err != nil {
 		tb.Fatal(err)
 	}
 	return buf.Bytes()

@@ -2,7 +2,9 @@ package table
 
 import (
 	"errors"
+	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -17,7 +19,7 @@ func TestWithLookupSharesGridsWithoutMutation(t *testing.T) {
 		t.Fatal(err)
 	}
 	path := filepath.Join(dir, "set.rlct")
-	if err := set.SaveFileV3(path); err != nil {
+	if err := set.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
 	shared, err := LoadFile(path)
@@ -95,7 +97,7 @@ func TestLibraryCloseReleasesMappings(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := l.SaveDirV3(dir); err != nil {
+	if err := l.SaveDir(dir); err != nil {
 		t.Fatal(err)
 	}
 	loaded, err := LoadDir(dir)
@@ -126,5 +128,62 @@ func TestLibraryCloseReleasesMappings(t *testing.T) {
 	}
 	if mapped == 0 {
 		t.Log("no set was mmap-backed on this platform; Close exercised the no-op path")
+	}
+}
+
+// A LoadDir that fails part-way must close the sets it had already
+// opened: after a later file fails to load, or Add rejects a
+// duplicate name, no mapping of an earlier file may stay in the
+// process. Read from /proc/self/maps, so Linux only.
+func TestLoadDirErrorReleasesMappings(t *testing.T) {
+	if _, err := os.Stat("/proc/self/maps"); err != nil {
+		t.Skip("no /proc/self/maps on this platform")
+	}
+	mapped := func(path string) bool {
+		t.Helper()
+		maps, err := os.ReadFile("/proc/self/maps")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return strings.Contains(string(maps), path)
+	}
+	set, err := Build(freeConfig(), tinyAxes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name  string
+		later func(dir string) error
+	}{
+		{"broken later file", func(dir string) error {
+			return os.WriteFile(filepath.Join(dir, "z.json"), []byte("{not json"), 0o644)
+		}},
+		{"duplicate set name", func(dir string) error {
+			return set.SaveFile(filepath.Join(dir, "z.rlct"))
+		}},
+	} {
+		dir := t.TempDir()
+		good := filepath.Join(dir, "a.rlct")
+		if err := set.SaveFile(good); err != nil {
+			t.Fatal(err)
+		}
+		probe, err := LoadFile(good)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !probe.Mapped() || !mapped(good) {
+			probe.Close()
+			t.Skip("sets are not mmap-backed on this platform")
+		}
+		probe.Close()
+		if err := tc.later(dir); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadDir(dir); err == nil {
+			t.Fatalf("%s: LoadDir succeeded", tc.name)
+		}
+		if mapped(dir + string(filepath.Separator)) {
+			t.Errorf("%s: a file in %s is still mapped after the failed LoadDir", tc.name, dir)
+		}
 	}
 }

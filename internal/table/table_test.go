@@ -214,7 +214,7 @@ func TestSaveFileLoadFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := t.TempDir() + "/set.json"
+	path := t.TempDir() + "/set.rlct"
 	if err := set.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
