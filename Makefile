@@ -62,6 +62,8 @@ fuzz:
 	$(GO) test -run '^FuzzGeometryValidate$$' -fuzz '^FuzzGeometryValidate$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^FuzzBatchBody$$' -fuzz '^FuzzBatchBody$$' -fuzztime $(FUZZTIME) ./internal/serve
 	$(GO) test -run '^FuzzExtractBody$$' -fuzz '^FuzzExtractBody$$' -fuzztime $(FUZZTIME) ./internal/serve
+	$(GO) test -run '^FuzzDecodeState$$' -fuzz '^FuzzDecodeState$$' -fuzztime $(FUZZTIME) ./internal/clocktree
+	$(GO) test -run '^FuzzCkptLatest$$' -fuzz '^FuzzCkptLatest$$' -fuzztime $(FUZZTIME) ./internal/ckpt
 
 # rlcbench-check vets and tests the benchmark, which is its own module
 # (rlcbench/go.mod replaces clockrlc with this checkout) and so lies

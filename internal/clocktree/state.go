@@ -25,6 +25,13 @@ const (
 	maxMemoEntries   = 1 << 22
 	maxStackFrames   = 4096
 	maxSampleEntries = 1 << 22
+	// Encoded entry sizes: a sample is one f64; a memo entry is its
+	// level (u32), scale, loads and delays (11 f64); a stack frame is
+	// its level and next child (2 u32), id and base (2 i64), arrival
+	// and delays (5 f64).
+	sampleBytes = 8
+	memoBytes   = 4 + 11*8
+	frameBytes  = 2*4 + 2*8 + 5*8
 )
 
 type stateWriter struct{ buf []byte }
@@ -80,6 +87,17 @@ func (r *stateReader) f64() float64 {
 	return math.Float64frombits(v)
 }
 
+// count reads the entry count of a section whose entries take size
+// bytes each, and refuses one above max or one that the bytes left
+// cannot hold — before anything is allocated for the entries.
+func (r *stateReader) count(what string, size int, max uint32) uint32 {
+	n := r.u32()
+	if left := len(r.buf) - r.off; r.err == nil && (n > max || int(n) > left/size) {
+		r.err = fmt.Errorf("clocktree: checkpoint %s %d out of range (%d bytes left)", what, n, left)
+	}
+	return n
+}
+
 // encodeState serialises the walker's resumable state. ResumedSeq and
 // the per-process observed counter are deliberately not persisted:
 // both describe the *run*, not the job.
@@ -87,9 +105,9 @@ func (w *walker) encodeState() []byte {
 	sw := &stateWriter{buf: make([]byte, 0,
 		4+ // version
 			(9+histBuckets)*8+ // stats
-			4+len(w.stats.Sample)*8+
-			4+len(w.memo)*(4+11*8)+
-			4+len(w.stack)*(8+2*8+1*8+4*8))}
+			4+len(w.stats.Sample)*sampleBytes+
+			4+len(w.memo)*memoBytes+
+			4+len(w.stack)*frameBytes)}
 	sw.u32(stateVersion)
 	s := &w.stats
 	sw.i64(s.Leaves)
@@ -157,10 +175,7 @@ func (w *walker) decodeState(payload []byte) error {
 	for i := range s.Hist {
 		s.Hist[i] = r.i64()
 	}
-	nSample := r.u32()
-	if r.err == nil && nSample > maxSampleEntries {
-		return fmt.Errorf("clocktree: checkpoint sample count %d out of range", nSample)
-	}
+	nSample := r.count("sample count", sampleBytes, maxSampleEntries)
 	if r.err == nil && w.opts.SampleCap >= 0 && int(nSample) > w.opts.SampleCap {
 		return fmt.Errorf("clocktree: checkpoint holds %d samples, options cap %d", nSample, w.opts.SampleCap)
 	}
@@ -170,10 +185,7 @@ func (w *walker) decodeState(payload []byte) error {
 			s.Sample[i] = r.f64()
 		}
 	}
-	nMemo := r.u32()
-	if r.err == nil && nMemo > maxMemoEntries {
-		return fmt.Errorf("clocktree: checkpoint memo count %d out of range", nMemo)
-	}
+	nMemo := r.count("memo count", memoBytes, maxMemoEntries)
 	if nMemo > 0 && r.err == nil && w.memo == nil {
 		w.memo = make(map[stageSig][4]float64, nMemo)
 	}
@@ -200,10 +212,7 @@ func (w *walker) decodeState(payload []byte) error {
 			w.memo[sig] = d
 		}
 	}
-	nStack := r.u32()
-	if r.err == nil && nStack > maxStackFrames {
-		return fmt.Errorf("clocktree: checkpoint stack depth %d out of range", nStack)
-	}
+	nStack := r.count("stack depth", frameBytes, maxStackFrames)
 	if nStack > 0 && r.err == nil {
 		w.stack = make([]frame, 0, nStack)
 	}

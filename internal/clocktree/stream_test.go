@@ -487,22 +487,7 @@ func TestCheckpointSaveFailureDegrades(t *testing.T) {
 // TestStateCodecRoundTrip round-trips a populated walker through the
 // binary codec.
 func TestStateCodecRoundTrip(t *testing.T) {
-	w := &walker{levels: 3, opts: SimOptions{SampleCap: 4}}
-	w.stats = ArrivalStats{
-		Leaves: 7, Min: 1e-12, Max: 9e-12, MinLeaf: 2, MaxLeaf: 5,
-		Sum: 3.5e-11, SumSq: 4e-22,
-		Sample:          []float64{1e-12, 2e-12},
-		StagesSimulated: 3, StagesDeduped: 9,
-	}
-	w.stats.Hist[histBucket(1e-12)] = 7
-	w.memo = map[stageSig][4]float64{
-		{level: 1, scale: nominalScale, loads: nominalLoads}:                    {1, 2, 3, 4},
-		{level: 2, scale: [3]float64{1.1, 1, 1}, loads: [4]float64{1, 2, 1, 1}}: {5, 6, 7, 8},
-	}
-	w.stack = []frame{
-		{level: 0, next: 2, id: 0, base: 0, arrival: 1e-12, delays: [4]float64{1, 2, 3, 4}},
-		{level: 1, next: 0, id: 2, base: 16, arrival: 2e-12, delays: [4]float64{5, 6, 7, 8}},
-	}
+	w := codecWalker()
 	payload := w.encodeState()
 
 	r := &walker{levels: 3, opts: SimOptions{SampleCap: 4}, memo: map[stageSig][4]float64{}}

@@ -179,9 +179,17 @@ func WithChecks(p check.Policy) Option {
 
 // WithLookupPolicy selects what the extractor's out-of-range table
 // lookups do — extrapolate (default), clamp, or error — applied to
-// every set the extractor builds or loads.
+// every set the extractor builds or loads. Through Configure it
+// re-wraps the sets the extractor already holds in header copies
+// (table.Set.WithLookup), so a set shared with others is never
+// written.
 func WithLookupPolicy(p table.LookupPolicy) Option {
-	return func(e *Extractor) { e.lookup = p }
+	return func(e *Extractor) {
+		e.lookup = p
+		for sh, set := range e.tables {
+			e.tables[sh] = set.WithLookup(p)
+		}
+	}
 }
 
 // observer returns the configured observer, falling back to the
@@ -311,9 +319,8 @@ func (e *Extractor) SetObserver(o *obs.Observer) { e.obs = o }
 // Configure applies options to an already-constructed extractor — the
 // path a long-running server takes, where the table sets are shared
 // and cached but the check/lookup policies vary per request. Note
-// WithTableCache and WithLookupPolicy only influence table
-// construction, so they are inert here; WithChecks and WithObserver
-// take full effect.
+// WithTableCache only influences table construction, so it is inert
+// here; every other option takes full effect.
 func (e *Extractor) Configure(opts ...Option) {
 	for _, o := range opts {
 		o(e)
@@ -350,49 +357,17 @@ func (e *Extractor) LoopL(s Segment) (float64, error) {
 // (obs.StartCtx), the form concurrent callers such as the clocktree
 // stages use so per-segment lookups attribute to the right parent at
 // any worker count. The context carries tracing lineage only; lookups
-// are pure reads and are not cancelled.
+// are pure reads and are not cancelled. It is a one-segment LoopLBatch
+// and returns the segment's own error.
 func (e *Extractor) LoopLCtx(ctx context.Context, s Segment) (float64, error) {
 	if err := s.Validate(); err != nil {
 		return 0, err
 	}
-	_, sp := e.observer().StartCtx(ctx, "table.lookup")
-	defer sp.End()
-	sp.SetAttr("shielding", s.Shielding.String())
-	loopCompositions.Inc()
-	set, err := e.Tables(s.Shielding)
-	if err != nil {
+	var out [1]float64
+	if _, err := e.loopLBatchInto(ctx, []Segment{s}, out[:]); err != nil {
 		return 0, err
 	}
-	ls, err := set.SelfL(s.SignalWidth, s.Length)
-	if err != nil {
-		return 0, err
-	}
-	lg, err := set.SelfL(s.GroundWidth, s.Length)
-	if err != nil {
-		return 0, err
-	}
-	msg, err := set.MutualL(s.SignalWidth, s.GroundWidth, s.Spacing, s.Length)
-	if err != nil {
-		return 0, err
-	}
-	// Ground-to-ground spacing across the signal trace.
-	sgg := 2*s.Spacing + s.SignalWidth
-	mgg, err := set.MutualL(s.GroundWidth, s.GroundWidth, sgg, s.Length)
-	if err != nil {
-		return 0, err
-	}
-	var lloop float64
-	if s.Shielding == geom.ShieldNone {
-		lloop = ls + (lg+mgg)/2 - 2*msg
-	} else {
-		lloop = ls - 2*msg*msg/(lg+mgg)
-	}
-	if eng := e.checkEngine(); eng.Armed() {
-		if err := checkLoopComposition(eng, s, ls, lg, msg, mgg, lloop); err != nil {
-			return 0, err
-		}
-	}
-	return lloop, nil
+	return out[0], nil
 }
 
 // checkLoopComposition enforces the physical bounds of a loop
@@ -525,19 +500,13 @@ func (e *Extractor) SegmentRLCCtx(ctx context.Context, s Segment) (netlist.Segme
 	defer sp.End()
 	sp.SetAttr("length", s.Length)
 	segmentsExtracted.Inc()
-	r, err := resist.ACSkinArea(s.Length, s.SignalWidth, e.Tech.Thickness, e.Tech.Rho, e.Frequency)
+	out, err := e.segmentRC(s)
 	if err != nil {
 		return netlist.SegmentRLC{}, err
 	}
-	c, err := e.SegmentCap(s)
-	if err != nil {
+	if out.L, err = e.LoopLCtx(ctx, s); err != nil {
 		return netlist.SegmentRLC{}, err
 	}
-	l, err := e.LoopLCtx(ctx, s)
-	if err != nil {
-		return netlist.SegmentRLC{}, err
-	}
-	out := netlist.SegmentRLC{R: r, L: l, C: c}
 	if err := out.Validate(); err != nil {
 		return netlist.SegmentRLC{}, fmt.Errorf("%w: %w", ErrUnphysical, err)
 	}
@@ -562,6 +531,19 @@ func (e *Extractor) SegmentRCOnlyCtx(ctx context.Context, s Segment) (netlist.Se
 	defer sp.End()
 	sp.SetAttr("length", s.Length)
 	segmentsExtracted.Inc()
+	out, err := e.segmentRC(s)
+	if err != nil {
+		return netlist.SegmentRLC{}, err
+	}
+	if err := out.Validate(); err != nil {
+		return netlist.SegmentRLC{}, fmt.Errorf("%w: %w", ErrUnphysical, err)
+	}
+	return out, nil
+}
+
+// segmentRC extracts a validated segment's analytic AC resistance and
+// grounded-total capacitance, leaving L zero.
+func (e *Extractor) segmentRC(s Segment) (netlist.SegmentRLC, error) {
 	r, err := resist.ACSkinArea(s.Length, s.SignalWidth, e.Tech.Thickness, e.Tech.Rho, e.Frequency)
 	if err != nil {
 		return netlist.SegmentRLC{}, err
@@ -570,11 +552,7 @@ func (e *Extractor) SegmentRCOnlyCtx(ctx context.Context, s Segment) (netlist.Se
 	if err != nil {
 		return netlist.SegmentRLC{}, err
 	}
-	out := netlist.SegmentRLC{R: r, C: c}
-	if err := out.Validate(); err != nil {
-		return netlist.SegmentRLC{}, fmt.Errorf("%w: %w", ErrUnphysical, err)
-	}
-	return out, nil
+	return netlist.SegmentRLC{R: r, C: c}, nil
 }
 
 // SegmentCap returns the signal trace's total capacitance (area +

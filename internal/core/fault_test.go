@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"clockrlc/internal/geom"
+	"clockrlc/internal/obs"
 	"clockrlc/internal/table"
 	"clockrlc/internal/units"
 )
@@ -64,10 +65,13 @@ func TestBlockRejectsGapLostToRounding(t *testing.T) {
 
 // An extraction that leaves the physical range for a valid geometry
 // unwraps to ErrUnphysical on the scalar and the batch path, with the
-// historical message text.
+// historical message text. The lookups run under the configured clamp
+// policy, which the clamp counter shows.
 func TestUnphysicalExtractionUnwraps(t *testing.T) {
 	e := newTestExtractor(t, []geom.Shielding{geom.ShieldNone})
 	e.Configure(WithLookupPolicy(table.LookupClamp))
+	clamps := obs.GetCounter("table.lookup_oob_clamps")
+	c0 := clamps.Value()
 	seg := Segment{Length: 1e-306, SignalWidth: 1e-306, GroundWidth: 1e-306, Spacing: 1e-306}
 	_, err := e.SegmentRLC(seg)
 	if !errors.Is(err, ErrUnphysical) || !strings.HasPrefix(err.Error(), "core: extracted values unphysical: netlist:") {
@@ -76,6 +80,9 @@ func TestUnphysicalExtractionUnwraps(t *testing.T) {
 	_, err = e.SegmentsRLC([]Segment{fig1Segment(), seg})
 	if !errors.Is(err, ErrUnphysical) || !strings.HasPrefix(err.Error(), "core: batch segment 1: core: extracted values unphysical: netlist:") {
 		t.Fatalf("batch: want ErrUnphysical naming segment 1, got %v", err)
+	}
+	if clamps.Value() == c0 {
+		t.Error("table.lookup_oob_clamps did not advance under the configured clamp policy")
 	}
 }
 

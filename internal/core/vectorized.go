@@ -5,21 +5,20 @@ package core
 // MutualLBatch): segments are grouped by shielding configuration, the
 // four lookups of every loop composition are packed into two batch
 // calls per group, and one spline contraction pass answers them all —
-// deduping repeated geometries, which clock trees are made of. The
-// composed values are bit-identical to the scalar loop (LoopL per
-// segment); only the constant factors change.
+// deduping repeated geometries, which clock trees are made of.
+// loopLBatchInto is the only loop composition: LoopL is a one-segment
+// call of it.
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"time"
 
 	"clockrlc/internal/geom"
 	"clockrlc/internal/netlist"
 	"clockrlc/internal/obs"
-	"clockrlc/internal/resist"
 	"clockrlc/internal/table"
 )
 
@@ -71,8 +70,8 @@ func (e *Extractor) LoopLBatchCtx(ctx context.Context, segs []Segment) ([]float6
 
 // loopLBatchInto composes loop inductances for pre-validated segments
 // into out (len(out) == len(segs)). On failure it returns the index of
-// the offending segment and the same error the scalar path would have
-// produced for it.
+// the offending segment and that segment's own error, without the
+// *table.BatchError.
 func (e *Extractor) loopLBatchInto(ctx context.Context, segs []Segment, out []float64) (int, error) {
 	if len(segs) == 0 {
 		return 0, nil
@@ -82,95 +81,91 @@ func (e *Extractor) loopLBatchInto(ctx context.Context, segs []Segment, out []fl
 	sp.SetAttr("batch", len(segs))
 	loopCompositions.Add(int64(len(segs)))
 
-	// Group segments by shielding configuration, preserving input order
-	// within each group — each group shares one table set and batches
-	// its lookups together.
-	type group struct {
-		set  *table.Set
-		idxs []int
-	}
-	var order []geom.Shielding
-	groups := map[geom.Shielding]*group{}
+	// One group per shielding configuration, in order of first
+	// appearance: each shares one table set and batches its lookups
+	// together. Every set is resolved before any lookup runs.
+	var shBuf [3]geom.Shielding
+	shs := shBuf[:0]
 	for i, s := range segs {
-		g, ok := groups[s.Shielding]
-		if !ok {
-			set, err := e.Tables(s.Shielding)
-			if err != nil {
+		if !slices.Contains(shs, s.Shielding) {
+			if _, err := e.Tables(s.Shielding); err != nil {
 				return i, err
 			}
-			g = &group{set: set}
-			groups[s.Shielding] = g
-			order = append(order, s.Shielding)
+			shs = append(shs, s.Shielding)
 		}
-		g.idxs = append(g.idxs, i)
 	}
 
+	// Two self queries per segment — (SignalWidth, Length) then
+	// (GroundWidth, Length) — and two mutual queries — signal↔ground at
+	// Spacing, then ground↔ground across the signal trace — in input
+	// order. Each group packs its queries into the front of one buffer.
+	n := 2 * len(segs)
+	buf := make([]float64, 8*n)
+	sw, sl, selfOut := buf[:n], buf[n:2*n], buf[2*n:3*n]
+	mw1, mw2, msp, mln, mutOut := buf[3*n:4*n], buf[4*n:5*n], buf[5*n:6*n], buf[6*n:7*n], buf[7*n:]
 	eng := e.checkEngine()
 	armed := eng.Armed()
-	for _, sh := range order {
-		g := groups[sh]
-		m := len(g.idxs)
-		// Two self queries per segment — (SignalWidth, Length) then
-		// (GroundWidth, Length) — and two mutual queries — signal↔ground
-		// at Spacing, then ground↔ground across the signal trace —
-		// exactly the four lookups LoopL issues, in the same order.
-		sw := make([]float64, 2*m)
-		sl := make([]float64, 2*m)
-		selfOut := make([]float64, 2*m)
-		mw1 := make([]float64, 2*m)
-		mw2 := make([]float64, 2*m)
-		msp := make([]float64, 2*m)
-		mln := make([]float64, 2*m)
-		mutOut := make([]float64, 2*m)
-		for j, si := range g.idxs {
-			s := segs[si]
-			sw[2*j], sl[2*j] = s.SignalWidth, s.Length
-			sw[2*j+1], sl[2*j+1] = s.GroundWidth, s.Length
-			mw1[2*j], mw2[2*j], msp[2*j], mln[2*j] = s.SignalWidth, s.GroundWidth, s.Spacing, s.Length
+	for _, sh := range shs {
+		q := 0
+		for _, s := range segs {
+			if s.Shielding != sh {
+				continue
+			}
+			sw[q], sl[q] = s.SignalWidth, s.Length
+			sw[q+1], sl[q+1] = s.GroundWidth, s.Length
+			mw1[q], mw2[q], msp[q], mln[q] = s.SignalWidth, s.GroundWidth, s.Spacing, s.Length
 			// Ground-to-ground spacing across the signal trace.
 			sgg := 2*s.Spacing + s.SignalWidth
-			mw1[2*j+1], mw2[2*j+1], msp[2*j+1], mln[2*j+1] = s.GroundWidth, s.GroundWidth, sgg, s.Length
+			mw1[q+1], mw2[q+1], msp[q+1], mln[q+1] = s.GroundWidth, s.GroundWidth, sgg, s.Length
+			q += 2
 		}
-		if err := g.set.SelfLBatch(sw, sl, selfOut); err != nil {
-			return batchQuerySegment(g.idxs, err)
+		set := e.tables[sh]
+		if err := set.SelfLBatch(sw[:q], sl[:q], selfOut[:q]); err != nil {
+			return querySegment(segs, sh, err)
 		}
-		if err := g.set.MutualLBatch(mw1, mw2, msp, mln, mutOut); err != nil {
-			return batchQuerySegment(g.idxs, err)
+		if err := set.MutualLBatch(mw1[:q], mw2[:q], msp[:q], mln[:q], mutOut[:q]); err != nil {
+			return querySegment(segs, sh, err)
 		}
-		for j, si := range g.idxs {
-			s := segs[si]
-			ls, lg := selfOut[2*j], selfOut[2*j+1]
-			msg, mgg := mutOut[2*j], mutOut[2*j+1]
+		q = 0
+		for i, s := range segs {
+			if s.Shielding != sh {
+				continue
+			}
+			ls, lg, msg, mgg := selfOut[q], selfOut[q+1], mutOut[q], mutOut[q+1]
+			q += 2
 			var lloop float64
-			if s.Shielding == geom.ShieldNone {
+			if sh == geom.ShieldNone {
 				lloop = ls + (lg+mgg)/2 - 2*msg
 			} else {
 				lloop = ls - 2*msg*msg/(lg+mgg)
 			}
 			if armed {
 				if err := checkLoopComposition(eng, s, ls, lg, msg, mgg, lloop); err != nil {
-					return si, err
+					return i, err
 				}
 			}
-			out[si] = lloop
+			out[i] = lloop
 		}
 	}
 	return 0, nil
 }
 
-// batchQuerySegment maps a table batch-lookup failure back to the
+// querySegment maps a failed batch lookup of the sh group back to the
 // segment that issued the failing query (two queries per segment) and
-// unwraps the *table.BatchError so the surfaced error matches what the
-// scalar lookup would have returned for that segment.
-func batchQuerySegment(idxs []int, err error) (int, error) {
-	var be *table.BatchError
-	if errors.As(err, &be) {
-		if si := be.Index / 2; si < len(idxs) {
-			return idxs[si], be.Err
-		}
+// unwraps the *table.BatchError to that query's own error. An error
+// that names no query is attributed to the group's first segment.
+func querySegment(segs []Segment, sh geom.Shielding, err error) (int, error) {
+	k := 0
+	if be, ok := err.(*table.BatchError); ok {
+		k, err = be.Index/2, be.Err
 	}
-	if len(idxs) > 0 {
-		return idxs[0], err
+	for i, s := range segs {
+		if s.Shielding == sh {
+			if k == 0 {
+				return i, err
+			}
+			k--
+		}
 	}
 	return 0, err
 }
@@ -205,16 +200,11 @@ func (e *Extractor) SegmentsRLCCtx(ctx context.Context, segs []Segment) ([]netli
 	workers := runtime.GOMAXPROCS(0)
 	sp.SetAttr("workers", workers)
 	err := table.ParallelForCtx(ctx, len(segs), workers, func(k int) error {
-		s := segs[k]
-		r, err := resist.ACSkinArea(s.Length, s.SignalWidth, e.Tech.Thickness, e.Tech.Rho, e.Frequency)
+		rc, err := e.segmentRC(segs[k])
 		if err != nil {
 			return fmt.Errorf("core: batch segment %d: %w", k, err)
 		}
-		c, err := e.SegmentCap(s)
-		if err != nil {
-			return fmt.Errorf("core: batch segment %d: %w", k, err)
-		}
-		out[k].R, out[k].C = r, c
+		out[k] = rc
 		return nil
 	})
 	if err != nil {

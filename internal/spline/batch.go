@@ -1,8 +1,9 @@
 package spline
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 )
 
@@ -62,15 +63,17 @@ func (g *Grid) EvalBatch(coords, out []float64) error {
 	}
 	// Lexicographic coordinate order (input index breaks ties) makes
 	// identical tuples adjacent and maximises per-axis prefix sharing
-	// between neighbours.
-	sort.Slice(order, func(a, b int) bool {
-		qa, qb := order[a]*dim, order[b]*dim
+	// between neighbours. The coordinates are finite, so cmp.Compare
+	// orders them as < does. slices.SortFunc allocates nothing where
+	// sort.Slice's reflective swapper does, which keeps one-query
+	// lookups allocation-free.
+	slices.SortFunc(order, func(a, b int) int {
 		for d := 0; d < dim; d++ {
-			if ca, cb := coords[qa+d], coords[qb+d]; ca != cb {
-				return ca < cb
+			if c := cmp.Compare(coords[a*dim+d], coords[b*dim+d]); c != 0 {
+				return c
 			}
 		}
-		return order[a] < order[b]
+		return cmp.Compare(a, b)
 	})
 
 	var stack [evalStackScratch]float64

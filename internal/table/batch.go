@@ -1,12 +1,12 @@
 package table
 
-// Vectorized lookups. SelfLBatch and MutualLBatch are the batch
-// counterparts of SelfL and MutualL: identical semantics per query —
-// argument validation, fault injection, lookup-policy handling, armed
-// value checks, and bit-identical results — but one spline.EvalBatch
-// contraction pass over the whole batch (which dedups repeated
-// geometries; clock trees repeat a handful) and one batched atomic add
-// per counter instead of one per query.
+// Lookups. SelfLBatch and MutualLBatch are the one implementation of a
+// table lookup; SelfL and MutualL are one-query calls of them. Each
+// query is validated, fault-checked and classified under the lookup
+// policy in input order, one spline.EvalBatch contraction pass answers
+// the whole batch (deduping repeated geometries; clock trees repeat a
+// handful), armed checks then test every value, and each counter
+// advances by one atomic add per batch.
 
 import (
 	"fmt"
@@ -30,6 +30,15 @@ func (e *BatchError) Error() string {
 }
 
 func (e *BatchError) Unwrap() error { return e.Err }
+
+// queryErr is the error a one-query lookup returns: the failing
+// query's own error, without the *BatchError that names its index.
+func queryErr(err error) error {
+	if be, ok := err.(*BatchError); ok {
+		return be.Err
+	}
+	return err
+}
 
 // coordPool recycles the packed coordinate buffers the batch lookups
 // assemble for spline.Grid.EvalBatch.
@@ -71,11 +80,11 @@ func (lc *lookupCounts) flush() {
 
 // SelfLBatch looks up the self inductance for n = len(out) traces,
 // query i taking width ws[i] and length ls[i], writing henries to
-// out[i]. Every per-query behaviour matches SelfL exactly — the same
-// validation errors, the same fault-injection point, the same lookup
-// policy and counters, and bit-identical values. The first failing
-// query (in input order) stops the batch with a *BatchError naming it;
-// queries before it have been counted, none of out is then valid.
+// out[i]: each value is s.Self.Eval at the query's post-policy
+// coordinates, bit for bit. The first failing query (in input order)
+// stops the batch with a *BatchError naming it; queries before it have
+// been counted, none of out is then valid. See SelfL for the lookup
+// policy and the armed check.
 func (s *Set) SelfLBatch(ws, ls, out []float64) error {
 	n := len(out)
 	if len(ws) != n || len(ls) != n {
@@ -126,7 +135,7 @@ func (s *Set) SelfLBatch(ws, ls, out []float64) error {
 					Stage: check.StageLookup, Invariant: "self inductance finite and positive",
 					Subject: fmt.Sprintf("table %q", s.Config.Name),
 					// coords holds the post-policy (possibly clamped)
-					// coordinates, matching the scalar path's message.
+					// coordinates.
 					Cell:   fmt.Sprintf("SelfL(w=%g, l=%g)", coords[2*i], coords[2*i+1]),
 					Detail: fmt.Sprintf("L = %g", v),
 				}); err != nil {
@@ -140,8 +149,8 @@ func (s *Set) SelfLBatch(ws, ls, out []float64) error {
 
 // MutualLBatch looks up the mutual inductance for n = len(out) trace
 // pairs, query i taking widths w1s[i] and w2s[i], edge-to-edge spacing
-// sps[i] and common length ls[i]. Per-query semantics match MutualL
-// exactly; see SelfLBatch for the batch contract.
+// sps[i] and common length ls[i]; see SelfLBatch for the batch
+// contract and MutualL for the armed check.
 func (s *Set) MutualLBatch(w1s, w2s, sps, ls, out []float64) error {
 	n := len(out)
 	if len(w1s) != n || len(w2s) != n || len(sps) != n || len(ls) != n {

@@ -4,11 +4,13 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"runtime/debug"
 	"strings"
 	"testing"
 
 	"clockrlc/internal/check"
 	"clockrlc/internal/fault"
+	"clockrlc/internal/spline"
 	"clockrlc/internal/units"
 )
 
@@ -49,10 +51,31 @@ func batchLookupQueries(rng *rand.Rand, s *Set, n, ndistinct int) (ws, ls, w1s, 
 // size of one extract-batch shielding group.
 var batchSizes = []int{1, 2, 63, 64, 129, 1024}
 
+// referenceLookup is a lookup made independently of the batch path:
+// the lookup policy applied to each coordinate by hand, then one
+// spline.Grid.Eval. Only LookupClamp moves a coordinate.
+func referenceLookup(t *testing.T, s *Set, g *spline.Grid, x ...float64) float64 {
+	t.Helper()
+	axes := [][]float64{s.Axes.Widths, s.Axes.Lengths}
+	if len(x) == 4 {
+		axes = [][]float64{s.Axes.Widths, s.Axes.Widths, s.Axes.Spacings, s.Axes.Lengths}
+	}
+	if s.Lookup == LookupClamp {
+		for d, ax := range axes {
+			x[d] = math.Max(ax[0], math.Min(x[d], ax[len(ax)-1]))
+		}
+	}
+	v, err := g.Eval(x...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v
+}
+
 // TestLookupBatchMatchesScalarBitwise: under every lookup policy and
 // at every batch size, the batch lookups return bit-identical values
-// to the scalar loop, and advance the same counters by the same
-// amounts.
+// to the scalar loop and to referenceLookup, and advance the same
+// counters by the same amounts.
 func TestLookupBatchMatchesScalarBitwise(t *testing.T) {
 	for _, policy := range []LookupPolicy{LookupExtrapolate, LookupClamp} {
 		for _, n := range batchSizes {
@@ -93,10 +116,16 @@ func TestLookupBatchMatchesScalarBitwise(t *testing.T) {
 				if math.Float64bits(gotSelf[i]) != math.Float64bits(wantSelf[i]) {
 					t.Fatalf("policy %v n=%d SelfL query %d: batch %v != scalar %v (bitwise)", policy, n, i, gotSelf[i], wantSelf[i])
 				}
+				if ref := referenceLookup(t, s, s.Self, ws[i], ls[i]); math.Float64bits(gotSelf[i]) != math.Float64bits(ref) {
+					t.Fatalf("policy %v n=%d SelfL query %d: batch %v != Grid.Eval %v (bitwise)", policy, n, i, gotSelf[i], ref)
+				}
 			}
 			for i := range gotMut {
 				if math.Float64bits(gotMut[i]) != math.Float64bits(wantMut[i]) {
 					t.Fatalf("policy %v n=%d MutualL query %d: batch %v != scalar %v (bitwise)", policy, n, i, gotMut[i], wantMut[i])
+				}
+				if ref := referenceLookup(t, s, s.Mutual, w1s[i], w2s[i], sps[i], mls[i]); math.Float64bits(gotMut[i]) != math.Float64bits(ref) {
+					t.Fatalf("policy %v n=%d MutualL query %d: batch %v != Grid.Eval %v (bitwise)", policy, n, i, gotMut[i], ref)
 				}
 			}
 			// The batch pass classifies exactly like the scalar pass did.
@@ -288,5 +317,37 @@ func TestLookupBatchArmedCheck(t *testing.T) {
 	var be *BatchError
 	if !errors.As(err, &be) || be.Index != 0 {
 		t.Errorf("violation does not name the query: %v", err)
+	}
+}
+
+// TestOneQueryLookupsAllocateNothing: SelfL and MutualL are one-query
+// batch calls, and with checks off, no fault injector and no trace
+// sink they allocate nothing once the pools are warm — the sort of a
+// one-query spline batch included.
+func TestOneQueryLookupsAllocateNothing(t *testing.T) {
+	// No collection during the measurement, so the pools stay warm.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	check.SetPolicy(check.Off)
+	fault.Reset()
+	s := syntheticSet(t)
+	w, sp, l := units.Um(2), units.Um(1.5), units.Um(300)
+	for _, tc := range []struct {
+		name string
+		run  func() error
+	}{
+		{"SelfL", func() error { _, err := s.SelfL(w, l); return err }},
+		{"MutualL", func() error { _, err := s.MutualL(w, w, sp, l); return err }},
+	} {
+		if err := tc.run(); err != nil { // warm the pools
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(100, func() {
+			if err := tc.run(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > poolMissAllocs {
+			t.Errorf("%s allocates %v per call, want at most %d", tc.name, allocs, poolMissAllocs)
+		}
 	}
 }

@@ -550,17 +550,6 @@ func inRange(ax []float64, v float64) bool {
 // neither reaches the spline, which rejects both.
 func positive(v float64) bool { return v > 0 && v <= math.MaxFloat64 }
 
-// countLookup classifies a lookup: fully inside every axis range
-// counts as a hit; any out-of-range coordinate counts the lookup as
-// clamped (the spline extrapolates its end slope linearly there).
-func countLookup(ok bool) {
-	if ok {
-		lookupHits.Inc()
-	} else {
-		lookupClamped.Inc()
-	}
-}
-
 // clampTo clamps v to the axis' built range.
 func clampTo(ax []float64, v float64) float64 {
 	if v < ax[0] {
@@ -577,95 +566,25 @@ func clampTo(ax []float64, v float64) float64 {
 // s.Lookup: extrapolated (default), clamped to the axis endpoints, or
 // refused with an error unwrapping to ErrOutOfRange — each outcome
 // counted. When the process check engine is armed, the looked-up value
-// itself is checked finite and positive.
+// itself is checked finite and positive. It is a one-query SelfLBatch
+// and returns that query's own error, not the *BatchError.
 func (s *Set) SelfL(w, l float64) (float64, error) {
-	if !positive(w) || !positive(l) {
-		return 0, fmt.Errorf("table: SelfL arguments must be positive (w=%g, l=%g)", w, l)
+	var out [1]float64
+	if err := s.SelfLBatch([]float64{w}, []float64{l}, out[:]); err != nil {
+		return 0, queryErr(err)
 	}
-	if err := fault.Check(fault.SplineLookup); err != nil {
-		return 0, err
-	}
-	ok := inRange(s.Axes.Widths, w) && inRange(s.Axes.Lengths, l)
-	countLookup(ok)
-	if !ok {
-		switch s.Lookup {
-		case LookupError:
-			lookupOOBErrors.Inc()
-			return 0, fmt.Errorf("table: SelfL(w=%g, l=%g) outside table %q axes (w ∈ [%g, %g], l ∈ [%g, %g]): %w",
-				w, l, s.Config.Name, s.Axes.Widths[0], s.Axes.Widths[len(s.Axes.Widths)-1],
-				s.Axes.Lengths[0], s.Axes.Lengths[len(s.Axes.Lengths)-1], ErrOutOfRange)
-		case LookupClamp:
-			lookupOOBClamps.Inc()
-			w, l = clampTo(s.Axes.Widths, w), clampTo(s.Axes.Lengths, l)
-		default:
-			lookupOOBExtrapolated.Inc()
-		}
-	}
-	v, err := s.Self.Eval(w, l)
-	if err != nil {
-		return 0, err
-	}
-	if e := check.Active(); e.Armed() {
-		if !finite(v) || v <= 0 {
-			if err := e.Report(&check.Violation{
-				Stage: check.StageLookup, Invariant: "self inductance finite and positive",
-				Subject: fmt.Sprintf("table %q", s.Config.Name),
-				Cell:    fmt.Sprintf("SelfL(w=%g, l=%g)", w, l),
-				Detail:  fmt.Sprintf("L = %g", v),
-			}); err != nil {
-				return 0, err
-			}
-		}
-	}
-	return v, nil
+	return out[0], nil
 }
 
 // MutualL looks up the mutual inductance between parallel traces of
 // widths w1 and w2, edge-to-edge spacing sp, common length l.
 // Out-of-range coordinates follow s.Lookup as in SelfL; armed checks
-// require the value finite and non-negative.
+// require the value finite and non-negative. It is a one-query
+// MutualLBatch, as SelfL is a one-query SelfLBatch.
 func (s *Set) MutualL(w1, w2, sp, l float64) (float64, error) {
-	if !positive(w1) || !positive(w2) || !positive(sp) || !positive(l) {
-		return 0, fmt.Errorf("table: MutualL arguments must be positive (w1=%g, w2=%g, s=%g, l=%g)", w1, w2, sp, l)
+	var out [1]float64
+	if err := s.MutualLBatch([]float64{w1}, []float64{w2}, []float64{sp}, []float64{l}, out[:]); err != nil {
+		return 0, queryErr(err)
 	}
-	if err := fault.Check(fault.SplineLookup); err != nil {
-		return 0, err
-	}
-	ok := inRange(s.Axes.Widths, w1) && inRange(s.Axes.Widths, w2) &&
-		inRange(s.Axes.Spacings, sp) && inRange(s.Axes.Lengths, l)
-	countLookup(ok)
-	if !ok {
-		switch s.Lookup {
-		case LookupError:
-			lookupOOBErrors.Inc()
-			return 0, fmt.Errorf("table: MutualL(w1=%g, w2=%g, s=%g, l=%g) outside table %q axes (w ∈ [%g, %g], s ∈ [%g, %g], l ∈ [%g, %g]): %w",
-				w1, w2, sp, l, s.Config.Name,
-				s.Axes.Widths[0], s.Axes.Widths[len(s.Axes.Widths)-1],
-				s.Axes.Spacings[0], s.Axes.Spacings[len(s.Axes.Spacings)-1],
-				s.Axes.Lengths[0], s.Axes.Lengths[len(s.Axes.Lengths)-1], ErrOutOfRange)
-		case LookupClamp:
-			lookupOOBClamps.Inc()
-			w1, w2 = clampTo(s.Axes.Widths, w1), clampTo(s.Axes.Widths, w2)
-			sp, l = clampTo(s.Axes.Spacings, sp), clampTo(s.Axes.Lengths, l)
-		default:
-			lookupOOBExtrapolated.Inc()
-		}
-	}
-	v, err := s.Mutual.Eval(w1, w2, sp, l)
-	if err != nil {
-		return 0, err
-	}
-	if e := check.Active(); e.Armed() {
-		if !finite(v) || v < 0 {
-			if err := e.Report(&check.Violation{
-				Stage: check.StageLookup, Invariant: "mutual inductance finite and non-negative",
-				Subject: fmt.Sprintf("table %q", s.Config.Name),
-				Cell:    fmt.Sprintf("MutualL(w1=%g, w2=%g, s=%g, l=%g)", w1, w2, sp, l),
-				Detail:  fmt.Sprintf("M = %g", v),
-			}); err != nil {
-				return 0, err
-			}
-		}
-	}
-	return v, nil
+	return out[0], nil
 }
