@@ -22,10 +22,15 @@ import (
 // same key that names the table's on-disk cache entry, so a rebuilt
 // or re-axed table changes the job. The hash is order-independent
 // for maps (keys are sorted) and stable across runs and platforms.
+//
+// The leading version names the arithmetic behind the stage delays.
+// v2 is the transient on reverse Cuthill–McKee numbered unknowns,
+// which moves delays at rounding level against v1's nodes-first
+// numbering, so a v1 checkpoint never resumes under it.
 func (t *Tree) JobKey(opts SimOptions) ([32]byte, error) {
 	opts = opts.withDefaults(t.Buffer)
 	h := sha256.New()
-	fmt.Fprintf(h, "clockrlc-treejob-v1\n")
+	fmt.Fprintf(h, "clockrlc-treejob-v2\n")
 	fmt.Fprintf(h, "buffer %.17g %.17g %.17g %.17g\n",
 		t.Buffer.DriveRes, t.Buffer.InputCap, t.Buffer.IntrinsicDelay, t.Buffer.OutSlew)
 	for i, lv := range t.Levels {

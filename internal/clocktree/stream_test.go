@@ -2,6 +2,7 @@ package clocktree
 
 import (
 	"context"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"math"
@@ -338,6 +339,22 @@ func TestJobKeyDiscriminates(t *testing.T) {
 	}
 	if k3 == k1 {
 		t.Error("different trees share a job key")
+	}
+}
+
+// TestJobKeyGolden pins the job key of a fixed tree and options, so a
+// change to the key's inputs or to its version is deliberate. The same
+// inputs keyed c8c485bb5d44165f18c9259cd6aa9c5f2fab6ea36abff80f30f4c9f368c9bbf0
+// under clockrlc-treejob-v1, before the transient renumbered its
+// unknowns.
+func TestJobKeyGolden(t *testing.T) {
+	const want = "8052f5a19a66856cdb8271e918f3af819fa975a9d0b2adb87d62538cd4588347"
+	key, err := testTree(t, 2).JobKey(SimOptions{WithL: true, SampleCap: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := hex.EncodeToString(key[:]); got != want {
+		t.Fatalf("job key %s, want %s", got, want)
 	}
 }
 

@@ -3,16 +3,19 @@
 // partial pivoting, linear solves and inverses.
 //
 // The matrices involved are modest (filament systems of a few hundred
-// unknowns, MNA systems of a few thousand), so elimination is a
-// straightforward dense O(n³) LU; no fill-reducing ordering or blocking
-// is attempted. What is sparse-aware is the repeated work: a real LU
-// keeps its factors in compressed-row form (CSR) after elimination, and
-// CSR.MulVecTo multiplies by a compressed matrix, so the per-step
-// solves and products of a transient simulation cost O(nnz) rather
-// than O(n²) — with the same floating-point results as the dense
-// loops. FactorInPlace eliminates in the caller's matrix, so a caller
-// that recycles its buffers factors without a dense allocation. The
-// complex solver stays fully dense.
+// unknowns, MNA systems of a few thousand), so elimination runs in a
+// dense row-major workspace. It is band-aware: FactorInPlace takes the
+// matrix's half-bandwidth bw and confines the pivot search, the row
+// updates, the non-finite scan and the compression of the factors to
+// the band partial pivoting can fill (bw below the diagonal, 2·bw
+// above). A caller that numbers its unknowns to keep bw small (sim
+// uses reverse Cuthill–McKee) factors in O(n·bw²); bw = n−1 is the
+// dense case, which Factor takes. A real LU keeps its factors in
+// compressed-row form after elimination, so each solve costs O(nnz)
+// rather than O(n²), with the same floating-point results as the
+// dense loops. FactorInPlace eliminates in the caller's matrix, so a
+// caller that recycles its buffers factors without a dense
+// allocation. The complex solver stays fully dense.
 package linalg
 
 import (
@@ -38,13 +41,16 @@ var ErrNonFinite = errors.New("linalg: non-finite matrix entry")
 // vector.
 var ErrIllConditioned = errors.New("linalg: ill-conditioned system")
 
-// checkFinite rejects matrices carrying NaN/Inf before an O(n³)
-// factorization bothers to start; the scan is O(n²) and names the
-// first offending element.
-func checkFinite(data []float64, cols int) error {
-	for i, v := range data {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return fmt.Errorf("%w: element (%d,%d) = %g", ErrNonFinite, i/cols, i%cols, v)
+// checkFinite rejects matrices carrying NaN/Inf before a
+// factorization bothers to start. It scans the band |i−j| ≤ bw row by
+// row, so it names the first offending element in row-major order.
+func checkFinite(data []float64, n, bw int) error {
+	for i := 0; i < n; i++ {
+		lo, hi := max(0, i-bw), min(n-1, i+bw)
+		for j, v := range data[i*n+lo : i*n+hi+1] {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return fmt.Errorf("%w: element (%d,%d) = %g", ErrNonFinite, i, lo+j, v)
+			}
 		}
 	}
 	return nil
@@ -133,13 +139,13 @@ func (m *Matrix) MaxAbsDiff(other *Matrix) float64 {
 }
 
 // LU holds the LU factorization of a square matrix with partial
-// pivoting, P·A = L·U. Elimination runs dense, once; the factors are
-// then stored compressed (exact zeros dropped), so each solve walks only
-// the nonzeros that elimination left, fill included.
+// pivoting, P·A = L·U. Elimination runs once, in a dense workspace;
+// the factors are then stored compressed (exact zeros dropped), so each
+// solve walks only the nonzeros that elimination left, fill included.
 type LU struct {
 	n    int
-	l    *CSR      // strictly lower triangle of L; its unit diagonal is implicit
-	u    *CSR      // strictly upper triangle of U
+	l    *csr      // strictly lower triangle of L; its unit diagonal is implicit
+	u    *csr      // strictly upper triangle of U
 	diag []float64 // U's diagonal: the pivots
 	// swaps[k] is the row exchanged with row k at elimination step k;
 	// replaying the swaps in order applies P.
@@ -163,69 +169,95 @@ func (f *LU) CondEstimate() float64 {
 
 // NNZ returns the number of stored factor entries: the nonzeros of L
 // below the diagonal and of U on and above it.
-func (f *LU) NNZ() int { return f.l.NNZ() + f.u.NNZ() + f.n }
+func (f *LU) NNZ() int { return f.l.nnz() + f.u.nnz() + f.n }
 
 // Factor computes the LU factorization of square matrix a. The input
 // is not modified. It returns ErrSingular when a pivot underflows.
 func Factor(a *Matrix) (*LU, error) {
-	return FactorInPlace(a.Clone())
+	return FactorInPlace(a.Clone(), max(a.Rows-1, 0))
 }
 
 // FactorInPlace is Factor using a itself as the elimination workspace:
 // it allocates no dense n×n buffer, and afterwards a holds scratch
 // (the packed factors, or a partial elimination on error). The returned
 // factorization keeps no reference to a, so a may be reused at once.
-func FactorInPlace(a *Matrix) (*LU, error) {
-	f, err := eliminate(a)
+//
+// bw is a's half-bandwidth: every nonzero a(i,j) has |i−j| ≤ bw, and
+// elimination reads and writes only that band and the one partial
+// pivoting fills. Entries outside the band must be zero; they are
+// never looked at. bw ≥ n−1 is the dense case. The factors are bit for
+// bit those of the dense elimination of the same matrix.
+func FactorInPlace(a *Matrix, bw int) (*LU, error) {
+	f, lfirst, err := eliminate(a, bw)
 	if err != nil {
 		return nil, err
 	}
 	n, lu := f.n, a.Data
+	bw = min(bw, n-1)
+	uEnd := func(i int) int { return i*n + min(n-1, i+2*bw) + 1 }
 	lower, upper := 0, 0
 	for i := 0; i < n; i++ {
-		lower += countNonzero(lu[i*n : i*n+i])
-		upper += countNonzero(lu[i*n+i+1 : i*n+n])
+		lower += countNonzero(lu[i*n+lfirst[i] : i*n+i])
+		upper += countNonzero(lu[i*n+i+1 : uEnd(i)])
 	}
-	f.l, f.u = newCSR(n, n, lower), newCSR(n, n, upper)
+	f.l, f.u = newCSR(n, lower), newCSR(n, upper)
 	f.diag = make([]float64, n)
 	for i := 0; i < n; i++ {
-		f.l.appendRow(lu[i*n:i*n+i], 0)
-		f.u.appendRow(lu[i*n+i+1:i*n+n], i+1)
+		f.l.appendRow(lu[i*n+lfirst[i]:i*n+i], lfirst[i])
+		f.u.appendRow(lu[i*n+i+1:uEnd(i)], i+1)
 		f.diag[i] = lu[i*n+i]
 	}
 	return f, nil
 }
 
-// eliminate runs dense Gaussian elimination with partial pivoting in
-// place on a. It returns the factorization's permutation and pivot
-// statistics, and leaves the factors packed row-major in a.Data: L's
-// multipliers below the diagonal, U on and above it.
-func eliminate(a *Matrix) (*LU, error) {
+// eliminate runs Gaussian elimination with partial pivoting in place on
+// a, whose nonzeros lie within half-bandwidth bw of the diagonal. It
+// returns the factorization's permutation and pivot statistics, and
+// leaves the factors packed row-major in a.Data: L's multipliers below
+// the diagonal, U on and above it. Row i of L starts at column
+// lfirst[i].
+//
+// Rows below k+bw are still untouched at step k, so the pivot search
+// stops there, and the pivot row reaches no further than column k+2·bw.
+// A row that a swap moves down keeps the multipliers it gathered
+// higher up, so L rows are not confined to [i−bw, i): lfirst follows
+// every row through its swaps.
+func eliminate(a *Matrix, bw int) (f *LU, lfirst []int, err error) {
 	if a.Rows != a.Cols {
-		return nil, fmt.Errorf("linalg: Factor needs a square matrix, got %d×%d", a.Rows, a.Cols)
-	}
-	if err := checkFinite(a.Data, a.Cols); err != nil {
-		return nil, err
+		return nil, nil, fmt.Errorf("linalg: Factor needs a square matrix, got %d×%d", a.Rows, a.Cols)
 	}
 	n := a.Rows
-	f := &LU{n: n, swaps: make([]int, n), sign: 1, minPiv: math.Inf(1)}
+	if bw < 0 {
+		return nil, nil, fmt.Errorf("linalg: negative half-bandwidth %d", bw)
+	}
+	bw = min(bw, n-1)
+	if err := checkFinite(a.Data, n, bw); err != nil {
+		return nil, nil, err
+	}
+	f = &LU{n: n, swaps: make([]int, n), sign: 1, minPiv: math.Inf(1)}
+	lfirst = make([]int, n)
+	for i := range lfirst {
+		lfirst[i] = max(0, i-bw)
+	}
 	lu := a.Data
 	for k := 0; k < n; k++ {
+		last := min(n-1, k+bw)    // last row that can hold column k
+		right := min(n-1, k+2*bw) // last column the pivot row can hold
 		// Partial pivot: find the largest |value| in column k at or
 		// below the diagonal.
 		p, max := k, math.Abs(lu[k*n+k])
-		for i := k + 1; i < n; i++ {
+		for i := k + 1; i <= last; i++ {
 			if v := math.Abs(lu[i*n+k]); v > max {
 				p, max = i, v
 			}
 		}
 		if max == 0 || math.IsNaN(max) {
-			return nil, ErrSingular
+			return nil, nil, ErrSingular
 		}
 		if math.IsInf(max, 0) {
 			// Finite input overflowed during elimination: the system is
 			// numerically hopeless, not merely rank-deficient.
-			return nil, fmt.Errorf("pivot overflow in column %d: %w", k, ErrIllConditioned)
+			return nil, nil, fmt.Errorf("pivot overflow in column %d: %w", k, ErrIllConditioned)
 		}
 		if max < f.minPiv {
 			f.minPiv = max
@@ -235,28 +267,30 @@ func eliminate(a *Matrix) (*LU, error) {
 		}
 		f.swaps[k] = p
 		if p != k {
-			rowP := lu[p*n : p*n+n]
-			rowK := lu[k*n : k*n+n]
+			left := min(lfirst[k], lfirst[p])
+			rowP := lu[p*n+left : p*n+right+1]
+			rowK := lu[k*n+left : k*n+right+1]
 			for j := range rowK {
 				rowK[j], rowP[j] = rowP[j], rowK[j]
 			}
+			lfirst[k], lfirst[p] = lfirst[p], lfirst[k]
 			f.sign = -f.sign
 		}
 		pivot := lu[k*n+k]
-		for i := k + 1; i < n; i++ {
+		rowK := lu[k*n+k+1 : k*n+right+1]
+		for i := k + 1; i <= last; i++ {
 			m := lu[i*n+k] / pivot
 			lu[i*n+k] = m
 			if m == 0 {
 				continue
 			}
-			rowI := lu[i*n+k+1 : i*n+n]
-			rowK := lu[k*n+k+1 : k*n+n]
+			rowI := lu[i*n+k+1 : i*n+right+1]
 			for j := range rowK {
 				rowI[j] -= m * rowK[j]
 			}
 		}
 	}
-	return f, nil
+	return f, lfirst, nil
 }
 
 // Solve solves A·x = b for a single right-hand side. b is not
@@ -279,7 +313,9 @@ func (f *LU) Solve(b []float64) ([]float64, error) {
 // The substitutions visit the stored factor entries in the order a
 // dense solve visits its columns, so skipping the zeros is exact: for
 // a finite b with no negative-zero entries, x is bit for bit what the
-// dense triangular solves of the same factorization give.
+// dense triangular solves of the same factorization give. Elimination
+// never stores a zero pivot, so the only failure is a non-finite x,
+// reported as ErrIllConditioned naming its first bad component.
 func (f *LU) SolveInPlace(b, dst []float64) error {
 	n := f.n
 	if len(b) != n || len(dst) != n {
@@ -301,8 +337,10 @@ func (f *LU) SolveInPlace(b, dst []float64) error {
 		}
 		x[i] = s
 	}
-	// Back substitution with U.
+	// Back substitution with U. 0·v is ±0 for a finite v and NaN
+	// otherwise, so chk stays zero exactly while x is finite.
 	u := f.u
+	chk := 0.0
 	for i := n - 1; i >= 0; i-- {
 		lo, hi := u.rowPtr[i], u.rowPtr[i+1]
 		cols, vals := u.colIdx[lo:hi], u.val[lo:hi]
@@ -310,11 +348,12 @@ func (f *LU) SolveInPlace(b, dst []float64) error {
 		for k, j := range cols {
 			s -= vals[k] * x[j]
 		}
-		d := f.diag[i]
-		if d == 0 {
-			return ErrSingular
-		}
-		x[i] = s / d
+		v := s / f.diag[i]
+		x[i] = v
+		chk += 0 * v
+	}
+	if chk == 0 {
+		return nil
 	}
 	for i, v := range x {
 		if math.IsNaN(v) || math.IsInf(v, 0) {

@@ -74,13 +74,9 @@ func ACCtx(ctx context.Context, nl *netlist.Netlist, freqs []float64, acMag map[
 	if err != nil {
 		return nil, err
 	}
-	for _, p := range probes {
-		if p == netlist.Ground || p == "gnd" {
-			continue
-		}
-		if _, ok := m.nodeIdx[p]; !ok {
-			return nil, fmt.Errorf("sim: unknown probe node %q", p)
-		}
+	probeIdx, err := m.probeRows(probes)
+	if err != nil {
+		return nil, err
 	}
 	srcIdx := map[string]int{}
 	for k, v := range nl.VSources {
@@ -99,7 +95,7 @@ func ACCtx(ctx context.Context, nl *netlist.Netlist, freqs []float64, acMag map[
 	}
 	b := make([]complex128, m.dim)
 	for name, mag := range acMag {
-		b[m.srcBase+srcIdx[name]] = complex(mag, 0)
+		b[m.srcRow[srcIdx[name]]] = complex(mag, 0)
 		res.IProbe[name] = nil
 	}
 
@@ -122,15 +118,15 @@ func ACCtx(ctx context.Context, nl *netlist.Netlist, freqs []float64, acMag map[
 				return nil, fmt.Errorf("sim: AC solve at %g Hz: %w", f, ErrDiverged)
 			}
 		}
-		for _, p := range probes {
+		for k, p := range probes {
 			var v complex128
-			if idx := nodeOf(m.nodeIdx, p); idx >= 0 {
+			if idx := probeIdx[k]; idx >= 0 {
 				v = x[idx]
 			}
 			res.V[p] = append(res.V[p], v)
 		}
 		for name := range acMag {
-			res.IProbe[name] = append(res.IProbe[name], x[m.srcBase+srcIdx[name]])
+			res.IProbe[name] = append(res.IProbe[name], x[m.srcRow[srcIdx[name]]])
 		}
 	}
 	return res, nil

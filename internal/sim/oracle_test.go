@@ -91,7 +91,18 @@ func (f *denseLU) solve(b []float64) ([]float64, error) {
 	return x, nil
 }
 
-// denseTransient is the reference fixed-step trapezoidal run.
+// finiteVec reports whether every component of x is finite.
+func finiteVec(x []float64) bool {
+	for _, v := range x {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return false
+		}
+	}
+	return true
+}
+
+// denseTransient is the reference fixed-step trapezoidal run, on the
+// system assemble numbers.
 func denseTransient(nl *netlist.Netlist, h, tstop float64, probes []string) (*Result, error) {
 	m, err := assemble(nl)
 	if err != nil {
@@ -122,23 +133,24 @@ func denseTransient(nl *netlist.Netlist, h, tstop float64, probes []string) (*Re
 		res.Time = append(res.Time, t)
 		for _, p := range probes {
 			var v float64
-			if idx := nodeOf(m.nodeIdx, p); idx >= 0 {
+			if idx, _ := m.node(p); idx >= 0 {
 				v = x[idx]
 			}
 			res.Probes[p] = append(res.Probes[p], v)
 		}
 	}
 	record(0, x)
+	bPrev := make([]float64, m.dim)
 	bNext := make([]float64, m.dim)
 	rhsVec := make([]float64, m.dim)
 	for n := 1; n <= steps; n++ {
 		t0, t1 := float64(n-1)*h, float64(n)*h
 		cx := m.c.MulVec(x)
 		gx := m.g.MulVec(x)
-		m.rhs(t0, rhsVec)
+		m.rhs(t0, bPrev)
 		m.rhs(t1, bNext)
 		for i := range rhsVec {
-			rhsVec[i] += bNext[i] + s*cx[i] - gx[i]
+			rhsVec[i] = bPrev[i] + (bNext[i] + s*cx[i] - gx[i])
 		}
 		if !finiteVec(rhsVec) {
 			return nil, ErrDiverged

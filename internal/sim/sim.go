@@ -3,12 +3,19 @@
 // produces. Integration is trapezoidal with a fixed step; because the
 // circuits are linear and time appears only in the sources, the system
 // matrix is factored once and each step is a single back-substitution —
-// exactly the structure SPICE exploits for linear networks. The MNA
-// matrices of extracted ladders are almost empty, so G, C and the LU
-// factors are walked in compressed-row form: a step costs O(nnz), not
-// O(dim²), allocates nothing, and gives the same floating-point results
-// as the dense loop. The dense assembly buffers double as elimination
-// workspaces and are pooled across runs.
+// exactly the structure SPICE exploits for linear networks.
+//
+// Assembly numbers the unknowns (node voltages, inductor currents,
+// source currents) in reverse Cuthill–McKee order, so every nonzero of
+// G and C lies within a narrow band of the diagonal — two or three
+// places for an extracted ladder — and elimination, which works only
+// inside that band, leaves little fill. G and C are walked on one
+// merged compressed-row pattern and the LU factors in compressed-row
+// form: a step is one pass over the rows of G and C plus two
+// triangular sweeps, costs O(nnz), allocates nothing, and gives the
+// same floating-point results as the dense loop on the same numbering.
+// The dense assembly buffers double as elimination workspaces and are
+// pooled across runs.
 //
 // One set-up and one step loop serve two entry points: TransientCtx
 // records the probed waveforms to the horizon, and CrossingsCtx keeps
@@ -21,7 +28,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
+	"slices"
 	"sync"
 	"time"
 
@@ -39,16 +46,6 @@ var ErrDiverged = errors.New("sim: solution diverged (non-finite values)")
 // simDiverged counts transient/AC runs aborted by the divergence
 // guard.
 var simDiverged = obs.GetCounter("sim.diverged")
-
-// finiteVec reports whether every component of x is finite.
-func finiteVec(x []float64) bool {
-	for _, v := range x {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return false
-		}
-	}
-	return true
-}
 
 // solveErr names a failed solve. A finite right-hand side that yields
 // a non-finite solution (linalg.ErrIllConditioned) means the run
@@ -82,49 +79,127 @@ var (
 )
 
 // mna holds the assembled descriptor system G·x + C·ẋ = b(t) where x
-// stacks node voltages, inductor currents and source currents.
+// stacks node voltages, inductor currents and source currents, in the
+// reverse Cuthill–McKee order assemble gives them. Every nonzero of G
+// and C lies within bw of the diagonal.
 type mna struct {
-	nl       *netlist.Netlist
-	nodeIdx  map[string]int // node name → column (ground absent)
-	nNodes   int
-	indBase  int // first inductor-current column
-	srcBase  int // first source-current column
-	dim      int
-	g, c     *linalg.Matrix
-	srcNodes [][2]int // per source: (A idx, B idx), -1 = ground
+	nl      *netlist.Netlist
+	nodeIdx map[string]int // node name → unknown before renumbering (ground absent)
+	pos     []int          // unknown before renumbering → its row and column
+	srcRow  []int          // per source: the row of its current, where b(t) carries its voltage
+	dim, bw int
+	g, c    *linalg.Matrix
 }
 
-func nodeOf(m map[string]int, name string) int {
+// node returns the row of a node's voltage, -1 for ground; ok is false
+// for a name the netlist does not have.
+func (m *mna) node(name string) (row int, ok bool) {
 	if name == netlist.Ground || name == "gnd" {
-		return -1
+		return -1, true
 	}
-	return m[name]
+	i, ok := m.nodeIdx[name]
+	if !ok {
+		return -1, false
+	}
+	return m.pos[i], true
+}
+
+// probeRows resolves probe node names to their rows, -1 for ground.
+func (m *mna) probeRows(probes []string) ([]int, error) {
+	rows := make([]int, len(probes))
+	for k, name := range probes {
+		var ok bool
+		if rows[k], ok = m.node(name); !ok {
+			return nil, fmt.Errorf("sim: unknown probe node %q", name)
+		}
+	}
+	return rows, nil
 }
 
 // assemble stamps nl into G and C, taking both dim×dim matrices from
 // densePool. A caller that keeps them simply never puts them back.
+//
+// Before renumbering, the unknowns are the nodes in first-appearance
+// order, then the inductor currents, then the source currents. Each
+// element's terminals are resolved to those integers once; the
+// incidence they give is the graph rcm orders, and the stamps land at
+// the renumbered rows and columns. Each entry sums its stamps in
+// element order whatever the numbering, so renumbering permutes G and
+// C without changing an entry.
 func assemble(nl *netlist.Netlist) (*mna, error) {
 	if err := nl.Validate(); err != nil {
 		return nil, err
 	}
-	nodes := nl.Nodes()
-	m := &mna{
-		nl:      nl,
-		nodeIdx: make(map[string]int, len(nodes)),
-		nNodes:  len(nodes),
+	nR, nC, nL, nV := len(nl.Resistors), len(nl.Capacitors), len(nl.Inductors), len(nl.VSources)
+	m := &mna{nl: nl, nodeIdx: make(map[string]int, nR+nC+nL+nV)}
+	node := func(name string) int {
+		if name == netlist.Ground || name == "gnd" {
+			return -1
+		}
+		i, ok := m.nodeIdx[name]
+		if !ok {
+			i = len(m.nodeIdx)
+			m.nodeIdx[name] = i
+		}
+		return i
 	}
-	for i, n := range nodes {
-		m.nodeIdx[n] = i
+	// term holds the (A, B) unknowns of the resistors, capacitors,
+	// inductors and sources, in that order; -1 is ground.
+	term := make([]int, 0, 2*(nR+nC+nL+nV))
+	for _, e := range nl.Resistors {
+		term = append(term, node(e.A), node(e.B))
 	}
-	m.indBase = m.nNodes
-	m.srcBase = m.nNodes + len(nl.Inductors)
-	m.dim = m.srcBase + len(nl.VSources)
+	for _, e := range nl.Capacitors {
+		term = append(term, node(e.A), node(e.B))
+	}
+	for _, e := range nl.Inductors {
+		term = append(term, node(e.A), node(e.B))
+	}
+	for _, e := range nl.VSources {
+		term = append(term, node(e.A), node(e.B))
+	}
+	nN := len(m.nodeIdx)
+	m.dim = nN + nL + nV
 	if m.dim == 0 {
 		return nil, errors.New("sim: empty circuit")
 	}
+
+	// The off-diagonal couplings, as pairs of unknowns: a resistor or
+	// capacitor couples its terminals, an inductor or source couples
+	// its current to each terminal, and a mutual couples two inductor
+	// currents.
+	edges := make([]int, 0, 2*(nR+nC+2*nL+len(nl.Mutuals)+2*nV))
+	for e := 0; e < nR+nC; e++ {
+		if a, b := term[2*e], term[2*e+1]; a >= 0 && b >= 0 {
+			edges = append(edges, a, b)
+		}
+	}
+	// Inductor k's current is unknown nN+k and source k's nN+nL+k;
+	// their terminals follow the resistors' and capacitors' in term.
+	for k := 0; k < nL+nV; k++ {
+		cur := nN + k
+		for _, t := range term[2*(nR+nC+k) : 2*(nR+nC+k)+2] {
+			if t >= 0 {
+				edges = append(edges, t, cur)
+			}
+		}
+	}
+	for _, mu := range nl.Mutuals {
+		edges = append(edges, nN+mu.L1, nN+mu.L2)
+	}
+	m.pos = rcm(m.dim, edges)
+	for e := 0; e < len(edges); e += 2 {
+		a, b := m.pos[edges[e]], m.pos[edges[e+1]]
+		m.bw = max(m.bw, a-b, b-a)
+	}
+	for i, t := range term {
+		if t >= 0 {
+			term[i] = m.pos[t]
+		}
+	}
+
 	m.g = pooledDense(m.dim)
 	m.c = pooledDense(m.dim)
-
 	stampPair := func(mat *linalg.Matrix, a, b int, v float64) {
 		if a >= 0 {
 			mat.Add(a, a, v)
@@ -137,16 +212,10 @@ func assemble(nl *netlist.Netlist) (*mna, error) {
 			mat.Add(b, a, -v)
 		}
 	}
-	for _, r := range nl.Resistors {
-		stampPair(m.g, nodeOf(m.nodeIdx, r.A), nodeOf(m.nodeIdx, r.B), 1/r.R)
-	}
-	for _, c := range nl.Capacitors {
-		stampPair(m.c, nodeOf(m.nodeIdx, c.A), nodeOf(m.nodeIdx, c.B), c.C)
-	}
-	for k, l := range nl.Inductors {
-		row := m.indBase + k
-		a, b := nodeOf(m.nodeIdx, l.A), nodeOf(m.nodeIdx, l.B)
-		// KCL: branch current leaves A, enters B.
+	// stampBranch couples a branch current's row to its terminals:
+	// KCL (the current leaves A and enters B) and the branch equation's
+	// v_A − v_B.
+	stampBranch := func(row, a, b int) {
 		if a >= 0 {
 			m.g.Add(a, row, 1)
 			m.g.Add(row, a, 1)
@@ -155,39 +224,112 @@ func assemble(nl *netlist.Netlist) (*mna, error) {
 			m.g.Add(b, row, -1)
 			m.g.Add(row, b, -1)
 		}
+	}
+	t := term
+	for _, r := range nl.Resistors {
+		stampPair(m.g, t[0], t[1], 1/r.R)
+		t = t[2:]
+	}
+	for _, c := range nl.Capacitors {
+		stampPair(m.c, t[0], t[1], c.C)
+		t = t[2:]
+	}
+	for k, l := range nl.Inductors {
+		row := m.pos[nN+k]
+		stampBranch(row, t[0], t[1])
 		// Branch equation: v_A − v_B − L·di/dt (− M terms) = 0.
 		m.c.Add(row, row, -l.L)
+		t = t[2:]
 	}
 	for _, mu := range nl.Mutuals {
-		r1 := m.indBase + mu.L1
-		r2 := m.indBase + mu.L2
+		r1, r2 := m.pos[nN+mu.L1], m.pos[nN+mu.L2]
 		m.c.Add(r1, r2, -mu.M)
 		m.c.Add(r2, r1, -mu.M)
 	}
-	m.srcNodes = make([][2]int, len(nl.VSources))
-	for k, v := range nl.VSources {
-		row := m.srcBase + k
-		a, b := nodeOf(m.nodeIdx, v.A), nodeOf(m.nodeIdx, v.B)
-		m.srcNodes[k] = [2]int{a, b}
-		if a >= 0 {
-			m.g.Add(a, row, 1)
-			m.g.Add(row, a, 1)
-		}
-		if b >= 0 {
-			m.g.Add(b, row, -1)
-			m.g.Add(row, b, -1)
-		}
+	m.srcRow = make([]int, nV)
+	for k := range nl.VSources {
+		m.srcRow[k] = m.pos[nN+nL+k]
+		stampBranch(m.srcRow[k], t[0], t[1])
+		t = t[2:]
 	}
 	return m, nil
 }
 
-// rhs fills b(t): source rows carry the source voltages.
-func (m *mna) rhs(t float64, b []float64) {
-	for i := range b {
-		b[i] = 0
+// rcm numbers the n vertices of the graph whose edges are the pairs
+// (edges[2e], edges[2e+1]) in reverse Cuthill–McKee order and returns
+// each vertex's position. Each connected component starts at an
+// unvisited vertex of least degree and is searched breadth first,
+// visiting each vertex's unvisited neighbours by ascending degree,
+// ties by index; the whole order is then reversed. Nothing depends on
+// map order, so the numbering is a function of the netlist alone.
+func rcm(n int, edges []int) []int {
+	// Adjacency in flat compressed rows: vertex v's distinct
+	// neighbours, by index, are adj[ptr[v]:ptr[v]+deg[v]].
+	ptr := make([]int, n+1)
+	for _, v := range edges {
+		ptr[v+1]++
 	}
+	for v := 0; v < n; v++ {
+		ptr[v+1] += ptr[v]
+	}
+	adj := make([]int, len(edges))
+	fill := make([]int, n)
+	copy(fill, ptr[:n])
+	for e := 0; e < len(edges); e += 2 {
+		a, b := edges[e], edges[e+1]
+		adj[fill[a]], adj[fill[b]] = b, a
+		fill[a]++
+		fill[b]++
+	}
+	deg := fill // reused: the distinct-neighbour count of each vertex
+	for v := 0; v < n; v++ {
+		nb := adj[ptr[v]:ptr[v+1]]
+		slices.Sort(nb)
+		deg[v] = len(slices.Compact(nb))
+	}
+
+	order := make([]int, 0, n)
+	visited := make([]bool, n)
+	for len(order) < n {
+		start := -1
+		for v := 0; v < n; v++ {
+			if !visited[v] && (start < 0 || deg[v] < deg[start]) {
+				start = v
+			}
+		}
+		visited[start] = true
+		order = append(order, start)
+		for head := len(order) - 1; head < len(order); head++ {
+			v := order[head]
+			next := len(order)
+			for _, w := range adj[ptr[v] : ptr[v]+deg[v]] {
+				if !visited[w] {
+					visited[w] = true
+					order = append(order, w)
+				}
+			}
+			// The neighbours arrive by index; a stable sort by degree
+			// orders them by (degree, index).
+			nb := order[next:]
+			for i := 1; i < len(nb); i++ {
+				for j := i; j > 0 && deg[nb[j]] < deg[nb[j-1]]; j-- {
+					nb[j], nb[j-1] = nb[j-1], nb[j]
+				}
+			}
+		}
+	}
+	pos := make([]int, n)
+	for i, v := range order {
+		pos[v] = n - 1 - i
+	}
+	return pos
+}
+
+// rhs writes b(t)'s source rows: each carries its source's voltage.
+// Every other row of b(t) is zero, and rhs leaves it as it is.
+func (m *mna) rhs(t float64, b []float64) {
 	for k, v := range m.nl.VSources {
-		b[m.srcBase+k] = v.Wave.At(t)
+		b[m.srcRow[k]] = v.Wave.At(t)
 	}
 }
 
@@ -227,13 +369,17 @@ func TransientCtx(ctx context.Context, nl *netlist.Netlist, h, tstop float64, pr
 	if err != nil {
 		return nil, err
 	}
+	// Waveforms are sized for the whole run up to preallocSteps steps;
+	// a longer run grows them as it goes, so a vast grid costs memory
+	// only for the steps it runs.
+	samples := min(steps, preallocSteps) + 1
 	res := &Result{
-		Time:   make([]float64, 0, steps+1),
+		Time:   make([]float64, 0, samples),
 		Probes: make(map[string][]float64, len(probes)),
 	}
 	waves := make([][]float64, len(probes))
 	for k := range waves {
-		waves[k] = make([]float64, 0, steps+1)
+		waves[k] = make([]float64, 0, samples)
 	}
 	err = simulate(ctx, nl, h, steps, probes, func(_ int, t float64, v []float64) bool {
 		res.Time = append(res.Time, t)
@@ -313,12 +459,24 @@ func CrossingsCtx(ctx context.Context, nl *netlist.Netlist, h, tstop float64, pr
 	return times, nil
 }
 
-// stepCount validates a time grid and returns its number of steps.
+// maxSteps caps a time grid's step count: up to 2^53 every step index
+// n, and so each step's time float64(n)·h, is computed from an exact
+// float64(n).
+const maxSteps = 1 << 53
+
+// preallocSteps caps the steps TransientCtx sizes its waveforms for
+// up front (8 MB per waveform).
+const preallocSteps = 1 << 20
+
+// stepCount validates a time grid and returns its number of steps. A
+// non-finite h or tstop, or a grid of more than maxSteps steps, is a
+// bad time grid; the comparisons are written so that NaN fails them.
 func stepCount(h, tstop float64) (int, error) {
-	if h <= 0 || tstop <= 0 || tstop < h {
+	steps := tstop/h + 0.5
+	if !(h > 0) || !(tstop >= h) || !(steps <= maxSteps) {
 		return 0, fmt.Errorf("sim: bad time grid (h=%g, tstop=%g)", h, tstop)
 	}
-	return int(tstop/h + 0.5), nil
+	return int(steps), nil
 }
 
 // densePool recycles the dense dim×dim assembly buffers of G and C
@@ -341,14 +499,92 @@ func pooledDense(n int) *linalg.Matrix {
 	return m
 }
 
+// pencil is G and C on their merged compressed-row pattern: row i's
+// entries sit in columns col[rowPtr[i]:rowPtr[i+1]], ascending, with
+// G's value in g and C's in c (one of them may be zero).
+type pencil struct {
+	rowPtr, col []int
+	g, c        []float64
+	nnz         int // nonzeros of G plus nonzeros of C
+}
+
+// compressPencil reads G and C inside the band into their merged
+// pattern.
+func compressPencil(m *mna) *pencil {
+	n, bw := m.dim, m.bw
+	g, c := m.g.Data, m.c.Data
+	entries := 0
+	for i := 0; i < n; i++ {
+		lo, hi := i*n+max(0, i-bw), i*n+min(n-1, i+bw)+1
+		for j := lo; j < hi; j++ {
+			if g[j] != 0 || c[j] != 0 {
+				entries++
+			}
+		}
+	}
+	p := &pencil{
+		rowPtr: make([]int, 1, n+1),
+		col:    make([]int, 0, entries),
+		g:      make([]float64, 0, entries),
+		c:      make([]float64, 0, entries),
+	}
+	for i := 0; i < n; i++ {
+		for j := max(0, i-bw); j <= min(n-1, i+bw); j++ {
+			gv, cv := g[i*n+j], c[i*n+j]
+			if gv == 0 && cv == 0 {
+				continue
+			}
+			p.col = append(p.col, j)
+			p.g = append(p.g, gv)
+			p.c = append(p.c, cv)
+			if gv != 0 {
+				p.nnz++
+			}
+			if cv != 0 {
+				p.nnz++
+			}
+		}
+		p.rowPtr = append(p.rowPtr, len(p.col))
+	}
+	return p
+}
+
+// stepRHS forms the trapezoidal right-hand side
+// rhs = b0 + ((b1 + s·C·x) − G·x) in one pass over the rows, and
+// reports whether every component is finite. C·x and G·x stay two sums
+// rather than one product by a pre-merged s·C − G, and each row sums
+// them in column order from +0: a term the merged pattern holds for
+// only one of the two matrices adds an exact zero, so for a finite x
+// every rounding is that of the dense products. rhs must not alias x.
+func (p *pencil) stepRHS(rhs, x, b0, b1 []float64, s float64) bool {
+	// 0·r is ±0 for a finite r and NaN otherwise, so chk stays zero
+	// exactly while every component is finite.
+	chk := 0.0
+	for i := range rhs {
+		lo, hi := p.rowPtr[i], p.rowPtr[i+1]
+		cols, gv, cv := p.col[lo:hi], p.g[lo:hi], p.c[lo:hi]
+		cx, gx := 0.0, 0.0
+		for k, j := range cols {
+			xj := x[j]
+			cx += cv[k] * xj
+			gx += gv[k] * xj
+		}
+		r := b0[i] + ((b1[i] + s*cx) - gx)
+		rhs[i] = r
+		chk += 0 * r
+	}
+	return chk == 0
+}
+
 // simulate is the one set-up and step loop behind TransientCtx and
 // CrossingsCtx, traced as a sim.transient span. Set-up assembles the
 // MNA system, compresses G and C, solves the DC operating point and
-// factors the trapezoidal system matrix. visit then sees the probed
-// node voltages at step 0 (the DC operating point) and after each step
-// n at t = n·h; returning true stops the run there. The span's steps
-// attribute is the number of steps run, horizon_steps the number a
-// full run to tstop takes.
+// factors the trapezoidal system matrix, all inside the band the
+// numbering gives. visit then sees the probed node voltages at step 0
+// (the DC operating point) and after each step n at t = n·h; returning
+// true stops the run there. The span's steps attribute is the number of
+// steps run, horizon_steps the number a full run to tstop takes, and bw
+// the half-bandwidth the system factored in.
 func simulate(ctx context.Context, nl *netlist.Netlist, h float64, steps int, probes []string,
 	visit func(n int, t float64, v []float64) bool) error {
 	if ctx == nil {
@@ -365,33 +601,32 @@ func simulate(ctx context.Context, nl *netlist.Netlist, h float64, steps int, pr
 	}
 	// G and C are assembled dense but are almost empty; every step
 	// multiplies by them, so compress them once.
-	g, c := linalg.Compress(m.g), linalg.Compress(m.c)
+	p := compressPencil(m)
 	sp.SetAttr("dim", m.dim)
-	sp.SetAttr("nnz", g.NNZ()+c.NNZ())
+	sp.SetAttr("bw", m.bw)
+	sp.SetAttr("nnz", p.nnz)
 	simDimHist.Observe(float64(m.dim))
-	// Probe columns are resolved once; -1 records ground.
-	probeIdx := make([]int, len(probes))
-	for k, p := range probes {
-		probeIdx[k] = nodeOf(m.nodeIdx, p)
-		if probeIdx[k] < 0 {
-			continue
-		}
-		if _, ok := m.nodeIdx[p]; !ok {
-			return fmt.Errorf("sim: unknown probe node %q", p)
-		}
+	probeIdx, err := m.probeRows(probes)
+	if err != nil {
+		return err
 	}
 
 	// Trapezoidal system matrix A = G + (2/h)·C, built into C's buffer
-	// while G is still intact.
+	// while G is still intact. Off the merged pattern both are +0, and
+	// so is A.
 	s := 2 / h
-	for i, gv := range m.g.Data {
-		m.c.Data[i] = gv + s*m.c.Data[i]
+	n := m.dim
+	for i := 0; i < n; i++ {
+		for k := p.rowPtr[i]; k < p.rowPtr[i+1]; k++ {
+			m.c.Data[i*n+p.col[k]] = p.g[k] + s*p.c[k]
+		}
 	}
 
-	// DC operating point: G·x = b(0), eliminating in G's buffer.
-	b0 := make([]float64, m.dim)
+	// DC operating point: G·x = b(0), eliminating in G's buffer. b0 is
+	// also the first step's b(t0).
+	b0 := make([]float64, n)
 	m.rhs(0, b0)
-	gf, err := linalg.FactorInPlace(m.g)
+	gf, err := linalg.FactorInPlace(m.g, m.bw)
 	simFactors.Inc()
 	if err != nil {
 		return fmt.Errorf("sim: DC operating point is singular (floating node or inductor loop): %w", err)
@@ -403,7 +638,7 @@ func simulate(ctx context.Context, nl *netlist.Netlist, h float64, steps int, pr
 
 	// A is factored once; every step is one solve. The factors are
 	// copied out in compressed form, so both dense buffers go back.
-	af, err := linalg.FactorInPlace(m.c)
+	af, err := linalg.FactorInPlace(m.c, m.bw)
 	simFactors.Inc()
 	densePool.Put(m.g)
 	densePool.Put(m.c)
@@ -435,39 +670,29 @@ func simulate(ctx context.Context, nl *netlist.Netlist, h float64, steps int, pr
 		return nil
 	}
 
-	// The step loop allocates nothing: products, right-hand sides and
-	// the solve all land in these buffers.
-	cx := make([]float64, m.dim)
-	gx := make([]float64, m.dim)
-	bNext := make([]float64, m.dim)
-	rhsVec := make([]float64, m.dim)
-	for n := 1; n <= steps; n++ {
-		if n%cancelCheckStride == 0 {
+	// The step loop allocates nothing: the right-hand side and the
+	// solve land in these buffers. Only the source rows of b0 and b1
+	// are ever written, and b(t1) of one step is b(t0) of the next.
+	b1 := make([]float64, n)
+	rhsVec := make([]float64, n)
+	for step := 1; step <= steps; step++ {
+		if step%cancelCheckStride == 0 {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
 		}
-		t0 := float64(n-1) * h
-		t1 := float64(n) * h
-		// rhs = (2/h)C·x0 − G·x0 + b(t0) + b(t1). Kept as two products
-		// rather than one pre-merged (2/h)C − G so the rounding matches
-		// term for term.
-		c.MulVecTo(cx, x)
-		g.MulVecTo(gx, x)
-		m.rhs(t0, rhsVec)
-		m.rhs(t1, bNext)
-		for i := range rhsVec {
-			rhsVec[i] += bNext[i] + s*cx[i] - gx[i]
-		}
-		if !finiteVec(rhsVec) {
+		t1 := float64(step) * h
+		m.rhs(t1, b1)
+		if !p.stepRHS(rhsVec, x, b0, b1, s) {
 			simDiverged.Inc()
-			return fmt.Errorf("sim: step %d (t=%g s): right-hand side non-finite (bad source?): %w", n, t1, ErrDiverged)
+			return fmt.Errorf("sim: step %d (t=%g s): right-hand side non-finite (bad source?): %w", step, t1, ErrDiverged)
 		}
 		if err := af.SolveInPlace(rhsVec, x); err != nil {
-			return solveErr(err, fmt.Sprintf("sim: step %d (t=%g s)", n, t1))
+			return solveErr(err, fmt.Sprintf("sim: step %d (t=%g s)", step, t1))
 		}
-		ran = n
-		if visit(n, t1, sample()) {
+		b0, b1 = b1, b0
+		ran = step
+		if visit(step, t1, sample()) {
 			return nil
 		}
 	}
