@@ -92,30 +92,48 @@ func BlockCaps(b *geom.Block, h, epsRel float64) ([]TraceCaps, error) {
 	if err := b.Validate(); err != nil {
 		return nil, fmt.Errorf("capmodel: %w", err)
 	}
-	n := len(b.Traces)
-	out := make([]TraceCaps, n)
-	for i, tr := range b.Traces {
-		g, err := GroundCap(tr.Width, tr.Thickness, h, epsRel)
+	out := make([]TraceCaps, len(b.Traces))
+	for i := range out {
+		c, err := traceCaps(b, i, h, epsRel)
 		if err != nil {
 			return nil, err
 		}
-		out[i].Ground = g
-		if i > 0 {
-			s := tr.EdgeToEdgeSpacing(b.Traces[i-1])
-			c, err := CouplingCap(tr.Width, tr.Thickness, h, s, epsRel)
-			if err != nil {
-				return nil, err
-			}
-			out[i].Left = c
-		}
-		if i < n-1 {
-			s := tr.EdgeToEdgeSpacing(b.Traces[i+1])
-			c, err := CouplingCap(tr.Width, tr.Thickness, h, s, epsRel)
-			if err != nil {
-				return nil, err
-			}
-			out[i].Right = c
-		}
+		out[i] = c
 	}
 	return out, nil
+}
+
+// TraceCapsOf solves trace i's 3-trace subproblem alone: element i of
+// BlockCaps, bit for bit, without computing the other traces or
+// allocating. A block that fails validation is the error BlockCaps
+// returns for it.
+func TraceCapsOf(b *geom.Block, i int, h, epsRel float64) (TraceCaps, error) {
+	if err := b.Validate(); err != nil {
+		return TraceCaps{}, fmt.Errorf("capmodel: %w", err)
+	}
+	return traceCaps(b, i, h, epsRel)
+}
+
+// traceCaps is trace i's 3-trace subproblem of a validated block: its
+// ground capacitance and the couplings to its immediate neighbours.
+func traceCaps(b *geom.Block, i int, h, epsRel float64) (TraceCaps, error) {
+	tr := b.Traces[i]
+	var c TraceCaps
+	var err error
+	if c.Ground, err = GroundCap(tr.Width, tr.Thickness, h, epsRel); err != nil {
+		return TraceCaps{}, err
+	}
+	if i > 0 {
+		s := tr.EdgeToEdgeSpacing(b.Traces[i-1])
+		if c.Left, err = CouplingCap(tr.Width, tr.Thickness, h, s, epsRel); err != nil {
+			return TraceCaps{}, err
+		}
+	}
+	if i < len(b.Traces)-1 {
+		s := tr.EdgeToEdgeSpacing(b.Traces[i+1])
+		if c.Right, err = CouplingCap(tr.Width, tr.Thickness, h, s, epsRel); err != nil {
+			return TraceCaps{}, err
+		}
+	}
+	return c, nil
 }

@@ -451,30 +451,37 @@ func (e *Extractor) Block(s Segment) (*geom.Block, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	z := e.Tech.Thickness / 2
-	var blk *geom.Block
+	blk, err := e.place(s, new(geom.BlockStorage))
+	if err != nil {
+		return nil, err
+	}
+	return &blk, nil
+}
+
+// place lays a validated segment's block out in st, refusing a
+// placement that loses the gap.
+func (e *Extractor) place(s Segment, st *geom.BlockStorage) (geom.Block, error) {
+	th := e.Tech.Thickness
+	z := th / 2
+	var blk geom.Block
 	switch s.Shielding {
 	case geom.ShieldNone:
-		blk = geom.CoplanarWaveguide(s.Length, s.SignalWidth, s.GroundWidth, s.Spacing,
-			e.Tech.Thickness, z, e.Tech.Rho)
+		blk = st.Coplanar(s.Length, s.SignalWidth, s.GroundWidth, s.Spacing, th, z, e.Tech.Rho)
 	case geom.ShieldMicrostrip:
-		blk = geom.Microstrip(s.Length, s.SignalWidth, s.GroundWidth, s.Spacing,
-			e.Tech.Thickness, z, e.Tech.Rho, e.Tech.PlaneGap, e.Tech.PlaneThickness)
+		blk = st.Microstrip(s.Length, s.SignalWidth, s.GroundWidth, s.Spacing, th, z, e.Tech.Rho,
+			e.Tech.PlaneGap, e.Tech.PlaneThickness)
 	case geom.ShieldStripline:
-		blk = geom.Microstrip(s.Length, s.SignalWidth, s.GroundWidth, s.Spacing,
-			e.Tech.Thickness, z, e.Tech.Rho, e.Tech.PlaneGap, e.Tech.PlaneThickness)
-		top := *blk.PlaneBelow
-		top.Z = z + e.Tech.Thickness/2 + e.Tech.PlaneGap + e.Tech.PlaneThickness/2
-		blk.PlaneAbove = &top
+		blk = st.Stripline(s.Length, s.SignalWidth, s.GroundWidth, s.Spacing, th, z, e.Tech.Rho,
+			e.Tech.PlaneGap, e.Tech.PlaneThickness)
 	default:
-		return nil, fmt.Errorf("core: unsupported shielding %v", s.Shielding)
+		return geom.Block{}, fmt.Errorf("core: unsupported shielding %v", s.Shielding)
 	}
 	// Widths many orders of magnitude above the spacing lose the gap
 	// to rounding once the traces are placed: the block would have
 	// touching traces that no capacitance or field model accepts.
 	for i := 1; i < len(blk.Traces); i++ {
 		if gap := blk.Traces[i].EdgeToEdgeSpacing(blk.Traces[i-1]); !(gap > 0) || math.IsInf(gap, 0) {
-			return nil, fmt.Errorf("%w: segment spacing %g is lost against widths %g and %g (placed gap %g)",
+			return geom.Block{}, fmt.Errorf("%w: segment spacing %g is lost against widths %g and %g (placed gap %g)",
 				ErrBadGeometry, s.Spacing, s.SignalWidth, s.GroundWidth, gap)
 		}
 	}
@@ -557,17 +564,24 @@ func (e *Extractor) segmentRC(s Segment) (netlist.SegmentRLC, error) {
 
 // SegmentCap returns the signal trace's total capacitance (area +
 // fringe to the reference below, plus both lateral couplings treated
-// as grounded), in farads.
+// as grounded), in farads: the signal trace's element of
+// capmodel.BlockCaps over Block(s), times the length, bit for bit and
+// with the same errors. It solves the signal trace's subproblem alone,
+// on a block in its own storage, and allocates nothing.
 func (e *Extractor) SegmentCap(s Segment) (float64, error) {
-	blk, err := e.Block(s)
+	if err := s.Validate(); err != nil {
+		return 0, err
+	}
+	var st geom.BlockStorage
+	blk, err := e.place(s, &st)
 	if err != nil {
 		return 0, err
 	}
-	caps, err := capmodel.BlockCaps(blk, e.Tech.CapHeight, e.Tech.EpsRel)
+	c, err := capmodel.TraceCapsOf(&blk, 1, e.Tech.CapHeight, e.Tech.EpsRel)
 	if err != nil {
 		return 0, err
 	}
-	return caps[1].Total() * s.Length, nil
+	return c.Total() * s.Length, nil
 }
 
 // PartialNetlist builds the Section II formulation of the segment as

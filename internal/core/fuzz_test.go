@@ -5,7 +5,9 @@ package core
 // throws at them they must either reject with ErrBadGeometry or accept
 // only values the solver can actually consume (finite and strictly
 // positive). A NaN that slips past here surfaces much later as a
-// cryptic numerical failure or a silently wrong table entry.
+// cryptic numerical failure or a silently wrong table entry. Past
+// both gates, SegmentCap must give what the heap block and
+// capmodel.BlockCaps give, bit for bit, or fail with the same error.
 
 import (
 	"errors"
@@ -28,6 +30,10 @@ func FuzzGeometryValidate(f *testing.F) {
 	f.Add(units.Um(2000), math.Inf(1), units.Um(4), units.Um(1), byte(2),
 		units.Um(2), units.RhoCopper, units.EpsSiO2, units.Um(2))
 	f.Add(0.0, -1.0, 0.0, -0.0, byte(0), math.NaN(), math.Inf(-1), 0.0, -5.0)
+	// 1 cm widths place the traces 1e-2 m apart: a 1e-19 m gap rounds
+	// to zero.
+	f.Add(units.Um(2000), 1e-2, 1e-2, 1e-19, byte(1),
+		units.Um(2), units.RhoCopper, units.EpsSiO2, units.Um(2))
 	f.Fuzz(func(t *testing.T, length, wsig, wgnd, sp float64, shield byte,
 		th, rho, eps, caph float64) {
 		seg := Segment{
@@ -48,11 +54,15 @@ func FuzzGeometryValidate(f *testing.F) {
 				}
 			}
 		}
+		// The planes reuse the cap height and the thickness, so the
+		// shielded blocks of a valid technology validate too.
 		tech := Technology{
-			Thickness: th,
-			Rho:       rho,
-			EpsRel:    eps,
-			CapHeight: caph,
+			Thickness:      th,
+			Rho:            rho,
+			EpsRel:         eps,
+			CapHeight:      caph,
+			PlaneGap:       caph,
+			PlaneThickness: th,
 		}
 		if err := tech.Validate(); err != nil {
 			if !errors.Is(err, ErrBadGeometry) {
@@ -63,6 +73,9 @@ func FuzzGeometryValidate(f *testing.F) {
 				if !physical(v) {
 					t.Fatalf("Technology.Validate accepted non-physical values: %+v", tech)
 				}
+			}
+			if seg.Validate() == nil {
+				sameCapAsBlockCaps(t, &Extractor{Tech: tech}, seg)
 			}
 		}
 	})

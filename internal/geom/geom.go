@@ -218,39 +218,75 @@ func (b *Block) GroundIndices() []int {
 	return out
 }
 
-// CoplanarWaveguide constructs the paper's basic three-trace building
-// block (Fig. 8): ground / signal / ground in one layer. The signal
-// trace is centred at y = 0 with its near end at x = 0 and thickness
-// centre at z.
-func CoplanarWaveguide(length, sigWidth, gndWidth, spacing, thickness, z, rho float64) *Block {
-	dy := sigWidth/2 + spacing + gndWidth/2
-	b := &Block{
-		Traces: []Trace{
-			{X0: 0, Y: -dy, Z: z, Length: length, Width: gndWidth, Thickness: thickness},
-			{X0: 0, Y: 0, Z: z, Length: length, Width: sigWidth, Thickness: thickness},
-			{X0: 0, Y: +dy, Z: z, Length: length, Width: gndWidth, Thickness: thickness},
-		},
-		IsGround: []bool{true, false, true},
-		Rho:      rho,
-	}
-	return b
+// BlockStorage holds the traces, ground flags and planes of one of
+// the three-trace building blocks, so that a caller who owns it (on
+// its stack, say) lays a block out without allocating. Coplanar,
+// Microstrip and Stripline each lay their block out in the storage and
+// return a Block whose slices and plane pointers refer into it: the
+// block is valid while the storage is, and the next layout in the same
+// storage overwrites it.
+type BlockStorage struct {
+	traces       [3]Trace
+	isGround     [3]bool
+	below, above GroundPlane
 }
 
-// Microstrip constructs the Fig. 9 building block: the coplanar
-// waveguide of CoplanarWaveguide plus a local ground plane a distance
-// planeGap below the bottom face of the traces (edge to edge), with
-// the given plane thickness. The plane width defaults to three times
-// the block width, wide enough to behave as a local plane.
-func Microstrip(length, sigWidth, gndWidth, spacing, thickness, z, rho, planeGap, planeThickness float64) *Block {
-	b := CoplanarWaveguide(length, sigWidth, gndWidth, spacing, thickness, z, rho)
+// Coplanar lays out the paper's basic three-trace building block
+// (Fig. 8): ground / signal / ground in one layer. The signal trace is
+// centred at y = 0 with its near end at x = 0 and thickness centre at
+// z.
+func (st *BlockStorage) Coplanar(length, sigWidth, gndWidth, spacing, thickness, z, rho float64) Block {
+	dy := sigWidth/2 + spacing + gndWidth/2
+	st.traces = [3]Trace{
+		{X0: 0, Y: -dy, Z: z, Length: length, Width: gndWidth, Thickness: thickness},
+		{X0: 0, Y: 0, Z: z, Length: length, Width: sigWidth, Thickness: thickness},
+		{X0: 0, Y: +dy, Z: z, Length: length, Width: gndWidth, Thickness: thickness},
+	}
+	st.isGround = [3]bool{true, false, true}
+	return Block{Traces: st.traces[:], IsGround: st.isGround[:], Rho: rho}
+}
+
+// Microstrip lays out the Fig. 9 building block: the coplanar block of
+// Coplanar plus a local ground plane a distance planeGap below the
+// bottom face of the traces (edge to edge), with the given plane
+// thickness. The plane width defaults to three times the block width,
+// wide enough to behave as a local plane.
+func (st *BlockStorage) Microstrip(length, sigWidth, gndWidth, spacing, thickness, z, rho, planeGap, planeThickness float64) Block {
+	b := st.Coplanar(length, sigWidth, gndWidth, spacing, thickness, z, rho)
 	blockWidth := 2*gndWidth + sigWidth + 2*spacing
-	b.PlaneBelow = &GroundPlane{
+	st.below = GroundPlane{
 		Z:         z - thickness/2 - planeGap - planeThickness/2,
 		Thickness: planeThickness,
 		Width:     3 * blockWidth,
 		Rho:       rho,
 	}
+	b.PlaneBelow = &st.below
 	return b
+}
+
+// Stripline lays out the microstrip block of Microstrip with a second,
+// identical plane the same distance planeGap above the top face of the
+// traces.
+func (st *BlockStorage) Stripline(length, sigWidth, gndWidth, spacing, thickness, z, rho, planeGap, planeThickness float64) Block {
+	b := st.Microstrip(length, sigWidth, gndWidth, spacing, thickness, z, rho, planeGap, planeThickness)
+	st.above = st.below
+	st.above.Z = z + thickness/2 + planeGap + planeThickness/2
+	b.PlaneAbove = &st.above
+	return b
+}
+
+// CoplanarWaveguide constructs the Fig. 8 block of
+// BlockStorage.Coplanar in storage of its own.
+func CoplanarWaveguide(length, sigWidth, gndWidth, spacing, thickness, z, rho float64) *Block {
+	b := new(BlockStorage).Coplanar(length, sigWidth, gndWidth, spacing, thickness, z, rho)
+	return &b
+}
+
+// Microstrip constructs the Fig. 9 block of BlockStorage.Microstrip in
+// storage of its own.
+func Microstrip(length, sigWidth, gndWidth, spacing, thickness, z, rho, planeGap, planeThickness float64) *Block {
+	b := new(BlockStorage).Microstrip(length, sigWidth, gndWidth, spacing, thickness, z, rho, planeGap, planeThickness)
+	return &b
 }
 
 // TraceArray constructs a block of n equal-width traces with uniform

@@ -90,6 +90,27 @@ func TestMicrostripPlaneBelow(t *testing.T) {
 	}
 }
 
+// The stripline block is the microstrip block plus a plane the same
+// gap above the traces' top face, laid out in caller-owned storage.
+func TestStriplinePlaneAbove(t *testing.T) {
+	gap := units.Um(2)
+	pt := units.Um(1)
+	var st BlockStorage
+	b := st.Stripline(units.Um(1000), units.Um(4), units.Um(4), units.Um(1), units.Um(1), units.Um(5), units.RhoCopper, gap, pt)
+	if err := b.Validate(); err != nil {
+		t.Fatalf("Validate: %v", err)
+	}
+	ms := Microstrip(units.Um(1000), units.Um(4), units.Um(4), units.Um(1), units.Um(1), units.Um(5), units.RhoCopper, gap, pt)
+	if *b.PlaneBelow != *ms.PlaneBelow {
+		t.Errorf("plane below %+v, microstrip's %+v", *b.PlaneBelow, *ms.PlaneBelow)
+	}
+	traceTop := b.Traces[1].Z + b.Traces[1].Thickness/2
+	planeBottom := b.PlaneAbove.Z - b.PlaneAbove.Thickness/2
+	if math.Abs((planeBottom-traceTop)-gap) > 1e-15 {
+		t.Errorf("plane gap above = %g, want %g", planeBottom-traceTop, gap)
+	}
+}
+
 func TestTraceArraySymmetry(t *testing.T) {
 	b := TraceArray(5, units.Um(1000), units.Um(2), units.Um(2), units.Um(1), 0, units.RhoCopper)
 	if err := b.Validate(); err != nil {

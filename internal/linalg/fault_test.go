@@ -95,7 +95,11 @@ func TestSolveSystemNeverReturnsNonFinite(t *testing.T) {
 			a.Set(i, j, 1/float64(i+j+1)) // Hilbert 3×3: ill-ish but solvable
 		}
 	}
-	x, err := SolveSystem(a, []float64{1, 0, 0})
+	f, err := Factor(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, err := f.Solve([]float64{1, 0, 0})
 	if err != nil {
 		t.Fatal(err)
 	}

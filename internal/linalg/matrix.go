@@ -1,6 +1,6 @@
 // Package linalg implements the small linear-algebra kernel the
 // extractor needs: real and complex matrices, LU decomposition with
-// partial pivoting, linear solves and inverses.
+// partial pivoting and linear solves.
 //
 // The matrices involved are modest (filament systems of a few hundred
 // unknowns, MNA systems of a few thousand), so elimination runs in a
@@ -150,7 +150,6 @@ type LU struct {
 	// swaps[k] is the row exchanged with row k at elimination step k;
 	// replaying the swaps in order applies P.
 	swaps []int
-	sign  int // parity of permutation; determinant sign
 	// minPiv/maxPiv are the extreme |pivot| magnitudes seen during
 	// elimination; their ratio is a cheap condition estimate.
 	minPiv, maxPiv float64
@@ -234,7 +233,7 @@ func eliminate(a *Matrix, bw int) (f *LU, lfirst []int, err error) {
 	if err := checkFinite(a.Data, n, bw); err != nil {
 		return nil, nil, err
 	}
-	f = &LU{n: n, swaps: make([]int, n), sign: 1, minPiv: math.Inf(1)}
+	f = &LU{n: n, swaps: make([]int, n), minPiv: math.Inf(1)}
 	lfirst = make([]int, n)
 	for i := range lfirst {
 		lfirst[i] = max(0, i-bw)
@@ -274,7 +273,6 @@ func eliminate(a *Matrix, bw int) (f *LU, lfirst []int, err error) {
 				rowK[j], rowP[j] = rowP[j], rowK[j]
 			}
 			lfirst[k], lfirst[p] = lfirst[p], lfirst[k]
-			f.sign = -f.sign
 		}
 		pivot := lu[k*n+k]
 		rowK := lu[k*n+k+1 : k*n+right+1]
@@ -362,47 +360,4 @@ func (f *LU) SolveInPlace(b, dst []float64) error {
 		}
 	}
 	return nil
-}
-
-// Det returns the determinant of the factored matrix.
-func (f *LU) Det() float64 {
-	d := float64(f.sign)
-	for _, v := range f.diag {
-		d *= v
-	}
-	return d
-}
-
-// SolveSystem is a convenience wrapper: factor a and solve a·x = b.
-func SolveSystem(a *Matrix, b []float64) ([]float64, error) {
-	f, err := Factor(a)
-	if err != nil {
-		return nil, err
-	}
-	return f.Solve(b)
-}
-
-// Inverse returns a⁻¹ or ErrSingular.
-func Inverse(a *Matrix) (*Matrix, error) {
-	f, err := Factor(a)
-	if err != nil {
-		return nil, err
-	}
-	n := a.Rows
-	inv := NewMatrix(n, n)
-	e := make([]float64, n)
-	for j := 0; j < n; j++ {
-		for i := range e {
-			e[i] = 0
-		}
-		e[j] = 1
-		col, err := f.Solve(e)
-		if err != nil {
-			return nil, err
-		}
-		for i := 0; i < n; i++ {
-			inv.Set(i, j, col[i])
-		}
-	}
-	return inv, nil
 }

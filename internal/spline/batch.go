@@ -18,19 +18,27 @@ var orderPool = sync.Pool{New: func() any { return new([]int) }}
 // out[i].
 //
 // Each result is bit-identical to Eval(coords[i*Dim():...]) — the
-// batch path reuses Eval's weight construction and contraction
-// verbatim — but the batch amortises work across queries: queries are
-// visited in lexicographic coordinate order, so a per-axis cardinal
+// batch path runs Eval's weight construction and contraction passes
+// verbatim — but the batch amortises work across queries. Queries are
+// visited in last-axis-major order: by the last (length) coordinate,
+// then by the others from axis 0 on, then by input index. The pass
+// over the last axis, which reads the whole value block and is most
+// of a contraction's work, runs once per run of equal last
+// coordinates; the run's queries share it and run only the smaller
+// remaining passes. The two self and the two mutual lookups of a loop
+// composition all read their segment's length. A per-axis cardinal
 // weight vector is rebuilt only when that axis' coordinate changes
 // between consecutive queries, and a query whose whole tuple repeats
-// the previous one copies its result without contracting at all.
-// Clock-tree workloads repeat a handful of segment geometries across
-// thousands of sinks, which is exactly the shape this exploits.
+// the previous one copies its result without contracting at all —
+// the shape of clock trees, which repeat a handful of segment
+// geometries across thousands of sinks.
 //
-// Weight sharing is keyed on exact float equality only — never on
-// proximity — which is what keeps batch results bit-identical to the
-// scalar loop regardless of input order. coords and the grid are not
-// mutated; like Eval, EvalBatch is safe for concurrent use. A NaN or
+// Sharing is keyed on exact float equality only — never on proximity
+// — which is what keeps batch results bit-identical to the scalar loop
+// regardless of input order: a pass depends only on the table and its
+// axis' weight vector, and that only on the coordinate. coords and the
+// grid are not mutated, and the shared pass lives in the call's own
+// scratch; like Eval, EvalBatch is safe for concurrent use. A NaN or
 // infinite coordinate anywhere in the batch is an error naming the
 // first such query, and no result is written.
 func (g *Grid) EvalBatch(coords, out []float64) error {
@@ -61,14 +69,18 @@ func (g *Grid) EvalBatch(coords, out []float64) error {
 	for i := range order {
 		order[i] = i
 	}
-	// Lexicographic coordinate order (input index breaks ties) makes
-	// identical tuples adjacent and maximises per-axis prefix sharing
-	// between neighbours. The coordinates are finite, so cmp.Compare
-	// orders them as < does. slices.SortFunc allocates nothing where
-	// sort.Slice's reflective swapper does, which keeps one-query
-	// lookups allocation-free.
+	// Last-axis-major order (then axes 0…dim−2, then input index)
+	// makes queries that share a last coordinate adjacent, so they
+	// share its pass, and keeps identical tuples adjacent. The
+	// coordinates are finite, so cmp.Compare orders them as < does.
+	// slices.SortFunc allocates nothing where sort.Slice's reflective
+	// swapper does, which keeps one-query lookups allocation-free.
+	last := dim - 1
 	slices.SortFunc(order, func(a, b int) int {
-		for d := 0; d < dim; d++ {
+		if c := cmp.Compare(coords[a*dim+last], coords[b*dim+last]); c != 0 {
+			return c
+		}
+		for d := 0; d < last; d++ {
 			if c := cmp.Compare(coords[a*dim+d], coords[b*dim+d]); c != 0 {
 				return c
 			}
@@ -85,6 +97,7 @@ func (g *Grid) EvalBatch(coords, out []float64) error {
 	}
 
 	prev := -1 // input index of the last query that contracted
+	passes := 0
 	for _, qi := range order {
 		q := coords[qi*dim : qi*dim+dim]
 		if prev >= 0 {
@@ -111,8 +124,15 @@ func (g *Grid) EvalBatch(coords, out []float64) error {
 			}
 			wOff += len(ax)
 		}
-		out[qi] = g.contract(scratch, wOff)
+		// A last coordinate equal to the previous query's leaves both
+		// its weight vector and its pass in scratch.
+		lastPass := prev < 0 || coords[prev*dim+last] != q[last]
+		if lastPass {
+			passes++
+		}
+		out[qi] = g.contract(scratch, wOff, lastPass)
 		prev = qi
 	}
+	lastAxisPasses.Add(int64(passes))
 	return nil
 }

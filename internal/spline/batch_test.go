@@ -61,19 +61,45 @@ func batchQueries(rng *rand.Rand, g *Grid, nq, ndistinct int) []float64 {
 	return coords
 }
 
+// loopLPairQueries generates npair query pairs in the shape of a loop
+// composition's two mutual lookups, (a, b, s, l) then (b, b, s′, l):
+// the two share their last coordinate and differ elsewhere, and the
+// lengths are drawn from nlen values, so runs of equal last
+// coordinates also span pairs.
+func loopLPairQueries(rng *rand.Rand, g *Grid, npair, nlen int) []float64 {
+	lens := batchQueries(rng, g, nlen, nlen)
+	coords := make([]float64, 0, 2*npair*4)
+	for i := 0; i < npair; i++ {
+		q := batchQueries(rng, g, 2, 2)
+		l := lens[rng.Intn(nlen)*4+3]
+		coords = append(coords, q[0], q[1], q[2], l, q[1], q[1], q[6], l)
+	}
+	return coords
+}
+
 // TestEvalBatchMatchesEvalBitwise is the batch path's core contract:
 // for every batch size and query order, EvalBatch result i is
-// bit-identical (not merely close) to Eval on the same tuple.
+// bit-identical (not merely close) to Eval on the same tuple. The pair
+// mixes share last-axis passes between queries that differ on every
+// other axis.
 func TestEvalBatchMatchesEvalBitwise(t *testing.T) {
 	g := batchTestGrid(t)
 	dim := g.Dim()
 	for _, tc := range []struct {
 		nq, ndistinct int
+		pairs         bool
 	}{
-		{1, 1}, {2, 1}, {7, 3}, {64, 5}, {64, 64}, {257, 16}, {1024, 16},
+		{1, 1, false}, {2, 1, false}, {7, 3, false}, {64, 5, false},
+		{64, 64, false}, {257, 16, false}, {1024, 16, false},
+		{2, 1, true}, {64, 3, true}, {64, 32, true}, {1024, 512, true},
 	} {
 		rng := rand.New(rand.NewSource(int64(tc.nq)*1000 + int64(tc.ndistinct)))
-		coords := batchQueries(rng, g, tc.nq, tc.ndistinct)
+		var coords []float64
+		if tc.pairs {
+			coords = loopLPairQueries(rng, g, tc.nq/2, tc.ndistinct)
+		} else {
+			coords = batchQueries(rng, g, tc.nq, tc.ndistinct)
+		}
 		want := make([]float64, tc.nq)
 		for i := range want {
 			v, err := g.Eval(coords[i*dim : (i+1)*dim]...)

@@ -97,13 +97,16 @@ func FuzzGridEvalReference(f *testing.F) {
 		}
 
 		// The blocked kernel against the one-line contraction, through
-		// both entry points: the fuzzed point and a knot-exact one.
-		batch := append(append([]float64(nil), coords...), knots...)
-		out := make([]float64, 2)
+		// both entry points: the fuzzed point, a knot-exact one, and one
+		// with the fuzzed last coordinate and the knot-exact others,
+		// which shares the fuzzed point's last-axis pass.
+		mixed := append(append([]float64(nil), knots[:dim-1]...), coords[dim-1])
+		batch := append(append(append([]float64(nil), coords...), knots...), mixed...)
+		out := make([]float64, 3)
 		if err := g.EvalBatch(batch, out); err != nil {
 			t.Fatalf("EvalBatch(%v) failed: %v", batch, err)
 		}
-		for q := 0; q < 2; q++ {
+		for q := 0; q < 3; q++ {
 			p := batch[q*dim : (q+1)*dim]
 			ref := referenceContract(g, p)
 			if q == 0 && math.Float64bits(got) != math.Float64bits(ref) {

@@ -26,9 +26,14 @@ import (
 )
 
 // gridEvals counts tensor-product interpolations (4 per composed
-// loop-inductance lookup). A single atomic add — negligible next to
-// the weight contraction an Eval performs.
-var gridEvals = obs.GetCounter("spline.evals")
+// loop-inductance lookup), lastAxisPasses the passes over the whole
+// value block along the last (length) axis, most of a contraction's
+// work: one per Eval, one per run of equal last coordinates in an
+// EvalBatch. Each is one atomic add, negligible next to a pass.
+var (
+	gridEvals      = obs.GetCounter("spline.evals")
+	lastAxisPasses = obs.GetCounter("spline.last_axis_passes")
+)
 
 // Spline1D is a natural cubic spline through strictly increasing
 // abscissae.
@@ -135,7 +140,8 @@ type Grid struct {
 	// Computed once at construction from the axes alone.
 	coef [][]float64
 	// scratchLen is the per-Eval scratch requirement: one packed
-	// weight vector per axis plus the contraction buffer.
+	// weight vector per axis, then the last-axis pass' result, then
+	// the buffer the remaining passes shrink in place (see contract).
 	scratchLen int
 	// pool recycles scratch for grids too large for the stack buffer.
 	pool *sync.Pool
@@ -143,7 +149,7 @@ type Grid struct {
 
 // evalStackScratch is the scratch size (in float64s) an Eval keeps on
 // the stack; larger grids fall back to a per-grid sync.Pool. The
-// default mutual table (6×6×6×8) needs 242, under half of this.
+// default mutual table (6×6×6×8) needs 26 + 216 + 36 = 278.
 const evalStackScratch = 512
 
 // NewGrid validates a table and precomputes its per-axis spline
@@ -210,7 +216,11 @@ func newGrid(axes [][]float64, vals []float64, coef [][]float64) (*Grid, error) 
 			g.coef[d] = secondDerivMatrix(ax)
 		}
 	}
-	g.scratchLen = wsum + size/len(axes[len(axes)-1])
+	last := size / len(axes[len(axes)-1])
+	g.scratchLen = wsum + last
+	if len(axes) > 1 {
+		g.scratchLen += last / len(axes[len(axes)-2])
+	}
 	if g.scratchLen > evalStackScratch {
 		n := g.scratchLen
 		g.pool = &sync.Pool{New: func() any {
@@ -314,62 +324,80 @@ func (g *Grid) Eval(coords ...float64) (float64, error) {
 		axisWeights(ax, g.coef[d], coords[d], scratch[wOff:wOff+len(ax)])
 		wOff += len(ax)
 	}
-	return g.contract(scratch, wOff), nil
+	lastAxisPasses.Inc()
+	return g.contract(scratch, wOff, true), nil
 }
 
 // contract folds the value block against the per-axis cardinal weight
 // vectors packed into scratch[:wOff], one axis at a time, last
-// (fastest-varying, unit-stride) axis first. The first pass reads
-// g.Vals and writes the scratch tail; later passes shrink it in place
-// (the write index never overtakes the read window). Each pass sums
-// four lines per sweep of the weight vector — every line in ascending
-// index order from +0, exactly as a one-line loop would, so blocking
-// changes no bit — and finishes the lines left over one at a time.
-// The four independent add chains overlap in the CPU where one chain
-// waits on each add's latency: on amd64 a 6×6×6×8 query, weights and
-// contraction, took 0.91–0.99 µs with four lines, 1.06–1.19 µs with
-// eight and 2.05–2.26 µs with one. The weight vectors in
-// scratch[:wOff] are read-only here, so a caller may reuse them across
-// contractions. Shared by Eval and EvalBatch so both perform the
-// identical float operations in the identical order.
-func (g *Grid) contract(scratch []float64, wOff int) float64 {
-	buf := scratch[wOff:]
-	cur := g.Vals
-	curLen := len(g.Vals)
-	for d := len(g.Axes) - 1; d >= 0; d-- {
-		n := len(g.Axes[d])
+// (fastest-varying, unit-stride) axis first. The last-axis pass reads
+// g.Vals into the region that follows the weights. With lastPass
+// false it is skipped: the region already holds the pass of an earlier
+// contract call under the same last weight vector, which EvalBatch
+// shares between queries that agree in their last coordinate. The
+// remaining passes never write the region: the first reads it into the
+// buffer after it, the later ones shrink that buffer in place. The
+// weight vectors are read-only here, so a caller may reuse them across
+// contractions. Every pass is one axisPass, shared by Eval and
+// EvalBatch, so both perform the identical float operations in the
+// identical order.
+func (g *Grid) contract(scratch []float64, wOff int, lastPass bool) float64 {
+	d := len(g.Axes) - 1
+	n := len(g.Axes[d])
+	cur := scratch[wOff : wOff+len(g.Vals)/n]
+	buf := scratch[wOff+len(cur):]
+	wOff -= n
+	if lastPass {
+		axisPass(scratch[wOff:wOff+n], g.Vals, cur)
+	}
+	for d--; d >= 0; d-- {
+		n = len(g.Axes[d])
 		wOff -= n
-		w := scratch[wOff : wOff+n]
-		lines := curLen / n
-		i := 0
-		for ; i+4 <= lines; i += 4 {
-			// Re-slicing each line to len(w) lets the compiler drop
-			// the bounds checks in the inner loop.
-			b := cur[i*n:]
-			l0, l1, l2, l3 := b[:len(w)], b[n:][:len(w)], b[2*n:][:len(w)], b[3*n:][:len(w)]
-			var a0, a1, a2, a3 float64
-			for j, wj := range w {
-				a0 += wj * l0[j]
-				a1 += wj * l1[j]
-				a2 += wj * l2[j]
-				a3 += wj * l3[j]
-			}
-			// The block's lines were all read above, and the writes
-			// land at indices below the next block's first value.
-			buf[i], buf[i+1], buf[i+2], buf[i+3] = a0, a1, a2, a3
-		}
-		for ; i < lines; i++ {
-			acc := 0.0
-			base := i * n
-			for j := 0; j < n; j++ {
-				acc += w[j] * cur[base+j]
-			}
-			buf[i] = acc
-		}
-		cur = buf
-		curLen = lines
+		next := buf[:len(cur)/n]
+		axisPass(scratch[wOff:wOff+n], cur, next)
+		cur = next
 	}
 	return cur[0]
+}
+
+// axisPass contracts one axis: dst[i] = Σ_j w[j]·src[i·n+j] for the
+// len(dst) consecutive lines of n = len(w) values in src. dst may be
+// the front of src: the write index never overtakes the read window.
+// It sums four lines per sweep of the weight vector — every line in
+// ascending index order from +0, exactly as a one-line loop would, so
+// blocking changes no bit — and finishes the lines left over one at a
+// time. The four independent add chains overlap in the CPU where one
+// chain waits on each add's latency: on amd64 a 6×6×6×8 query, weights
+// and contraction, took 0.91–0.99 µs with four lines, 1.06–1.19 µs
+// with eight and 2.05–2.26 µs with one.
+func axisPass(w, src, dst []float64) {
+	n := len(w)
+	lines := len(dst)
+	i := 0
+	for ; i+4 <= lines; i += 4 {
+		// Re-slicing each line to len(w) lets the compiler drop the
+		// bounds checks in the inner loop.
+		b := src[i*n:]
+		l0, l1, l2, l3 := b[:len(w)], b[n:][:len(w)], b[2*n:][:len(w)], b[3*n:][:len(w)]
+		var a0, a1, a2, a3 float64
+		for j, wj := range w {
+			a0 += wj * l0[j]
+			a1 += wj * l1[j]
+			a2 += wj * l2[j]
+			a3 += wj * l3[j]
+		}
+		// The block's lines were all read above, and the writes land
+		// at indices below the next block's first value.
+		dst[i], dst[i+1], dst[i+2], dst[i+3] = a0, a1, a2, a3
+	}
+	for ; i < lines; i++ {
+		acc := 0.0
+		base := i * n
+		for j := 0; j < n; j++ {
+			acc += w[j] * src[base+j]
+		}
+		dst[i] = acc
+	}
 }
 
 // finite reports whether x is neither NaN nor infinite.
