@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all tier1 fmt vet build test race roundtrip chaos fuzz rlcbench-check bench bench-sim bench-table serve
+.PHONY: all tier1 fmt vet build test race roundtrip chaos fuzz rlcbench-check bench bench-sim bench-table bench-serve serve
 
 all: tier1
 
@@ -89,6 +89,12 @@ bench-sim:
 # hit plus Close) with checks off and at warn, with allocation counts.
 bench-table:
 	$(GO) test -run '^$$' -bench 'Audit|CacheOpen' -benchmem ./internal/table
+
+# bench-serve is the daemon's request microbenchmark: one 64-segment
+# /v1/batch body through the body decoder, and one warm 64-segment
+# request through the whole handler, with allocation counts.
+bench-serve:
+	$(GO) test -run '^$$' -bench 'BatchDecode|BatchHandler' -benchmem ./internal/serve
 
 # serve runs the extraction daemon on ADDR (override: make serve
 # ADDR=:8650 CACHE=/var/cache/rlcx) with the content-addressed table

@@ -44,22 +44,36 @@ import (
 // line of width w and thickness t at height h over a ground plane,
 // in a dielectric of relative permittivity epsRel.
 func GroundCap(w, t, h, epsRel float64) (float64, error) {
-	if w <= 0 || t <= 0 || h <= 0 || epsRel <= 0 {
-		return 0, fmt.Errorf("capmodel: GroundCap arguments must be positive (w=%g t=%g h=%g eps=%g)", w, t, h, epsRel)
-	}
-	eps := epsRel * units.Eps0
-	return eps * (1.15*(w/h) + 2.80*math.Pow(t/h, 0.222)), nil
+	return groundCap(w, t, h, epsRel, thicknessTerm(t, h))
 }
 
 // CouplingCap returns the per-unit-length coupling capacitance (F/m)
 // between two parallel lines of width w and thickness t at height h
 // over a ground plane, separated edge-to-edge by s.
 func CouplingCap(w, t, h, s, epsRel float64) (float64, error) {
+	return couplingCap(w, t, h, s, epsRel, thicknessTerm(t, h))
+}
+
+// thicknessTerm is the (t/h)^0.222 both fits share; a trace's ground
+// and coupling capacitances compute it once.
+func thicknessTerm(t, h float64) float64 { return math.Pow(t/h, 0.222) }
+
+// groundCap is GroundCap given its thicknessTerm tt.
+func groundCap(w, t, h, epsRel, tt float64) (float64, error) {
+	if w <= 0 || t <= 0 || h <= 0 || epsRel <= 0 {
+		return 0, fmt.Errorf("capmodel: GroundCap arguments must be positive (w=%g t=%g h=%g eps=%g)", w, t, h, epsRel)
+	}
+	eps := epsRel * units.Eps0
+	return eps * (1.15*(w/h) + 2.80*tt), nil
+}
+
+// couplingCap is CouplingCap given its thicknessTerm tt.
+func couplingCap(w, t, h, s, epsRel, tt float64) (float64, error) {
 	if w <= 0 || t <= 0 || h <= 0 || s <= 0 || epsRel <= 0 {
 		return 0, fmt.Errorf("capmodel: CouplingCap arguments must be positive (w=%g t=%g h=%g s=%g eps=%g)", w, t, h, s, epsRel)
 	}
 	eps := epsRel * units.Eps0
-	v := 0.03*(w/h) + 0.83*(t/h) - 0.07*math.Pow(t/h, 0.222)
+	v := 0.03*(w/h) + 0.83*(t/h) - 0.07*tt
 	if v < 0 {
 		// Outside the fit's validity (very thin lines); clamp at the
 		// parallel-edge estimate rather than returning a negative C.
@@ -115,23 +129,25 @@ func TraceCapsOf(b *geom.Block, i int, h, epsRel float64) (TraceCaps, error) {
 }
 
 // traceCaps is trace i's 3-trace subproblem of a validated block: its
-// ground capacitance and the couplings to its immediate neighbours.
+// ground capacitance and the couplings to its immediate neighbours,
+// which share one thicknessTerm.
 func traceCaps(b *geom.Block, i int, h, epsRel float64) (TraceCaps, error) {
 	tr := b.Traces[i]
+	tt := thicknessTerm(tr.Thickness, h)
 	var c TraceCaps
 	var err error
-	if c.Ground, err = GroundCap(tr.Width, tr.Thickness, h, epsRel); err != nil {
+	if c.Ground, err = groundCap(tr.Width, tr.Thickness, h, epsRel, tt); err != nil {
 		return TraceCaps{}, err
 	}
 	if i > 0 {
 		s := tr.EdgeToEdgeSpacing(b.Traces[i-1])
-		if c.Left, err = CouplingCap(tr.Width, tr.Thickness, h, s, epsRel); err != nil {
+		if c.Left, err = couplingCap(tr.Width, tr.Thickness, h, s, epsRel, tt); err != nil {
 			return TraceCaps{}, err
 		}
 	}
 	if i < len(b.Traces)-1 {
 		s := tr.EdgeToEdgeSpacing(b.Traces[i+1])
-		if c.Right, err = CouplingCap(tr.Width, tr.Thickness, h, s, epsRel); err != nil {
+		if c.Right, err = couplingCap(tr.Width, tr.Thickness, h, s, epsRel, tt); err != nil {
 			return TraceCaps{}, err
 		}
 	}

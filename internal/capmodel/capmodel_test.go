@@ -174,3 +174,62 @@ func TestBlockCapsValidation(t *testing.T) {
 		t.Error("BlockCaps accepted invalid block")
 	}
 }
+
+// TraceCapsOf is, bit for bit, GroundCap and a CouplingCap per
+// neighbour called directly on the trace's own dimensions, over a sweep
+// that covers both sides of the thin-line clamp; an invalid height or
+// permittivity is GroundCap's own error.
+func TestTraceCapsOfMatchesDirectCalls(t *testing.T) {
+	clamped, unclamped := 0, 0
+	for _, w := range []float64{0.1, 0.5, 2, 10} {
+		for _, th := range []float64{0.02, 0.05, 1, 3} {
+			for _, h := range []float64{0.5, 2, 10} {
+				for _, s := range []float64{0.3, 1.5, 8} {
+					if v := 0.03*(w/h) + 0.83*(th/h) - 0.07*math.Pow(th/h, 0.222); v < 0 {
+						clamped++
+					} else {
+						unclamped++
+					}
+					blocks := []*geom.Block{
+						geom.CoplanarWaveguide(units.Um(500), units.Um(w), units.Um(2*w+1), units.Um(s), units.Um(th), 0, units.RhoCopper),
+						geom.TraceArray(4, units.Um(500), units.Um(w), units.Um(s), units.Um(th), 0, units.RhoCopper),
+					}
+					for _, b := range blocks {
+						for i, tr := range b.Traces {
+							got, err := TraceCapsOf(b, i, units.Um(h), units.EpsSiO2)
+							if err != nil {
+								t.Fatal(err)
+							}
+							var want TraceCaps
+							if want.Ground, err = GroundCap(tr.Width, tr.Thickness, units.Um(h), units.EpsSiO2); err != nil {
+								t.Fatal(err)
+							}
+							if i > 0 {
+								want.Left, _ = CouplingCap(tr.Width, tr.Thickness, units.Um(h), tr.EdgeToEdgeSpacing(b.Traces[i-1]), units.EpsSiO2)
+							}
+							if i < len(b.Traces)-1 {
+								want.Right, _ = CouplingCap(tr.Width, tr.Thickness, units.Um(h), tr.EdgeToEdgeSpacing(b.Traces[i+1]), units.EpsSiO2)
+							}
+							if math.Float64bits(got.Ground) != math.Float64bits(want.Ground) ||
+								math.Float64bits(got.Left) != math.Float64bits(want.Left) ||
+								math.Float64bits(got.Right) != math.Float64bits(want.Right) {
+								t.Fatalf("w=%g t=%g h=%g s=%g trace %d: TraceCapsOf %+v, direct calls %+v", w, th, h, s, i, got, want)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	if clamped == 0 || unclamped == 0 {
+		t.Fatalf("sweep has %d clamped and %d unclamped cross-sections; want both", clamped, unclamped)
+	}
+	b := geom.CoplanarWaveguide(units.Um(500), units.Um(2), units.Um(2), units.Um(1), units.Um(1), 0, units.RhoCopper)
+	for _, bad := range []struct{ h, eps float64 }{{0, units.EpsSiO2}, {units.Um(2), -1}} {
+		_, got := TraceCapsOf(b, 1, bad.h, bad.eps)
+		_, want := GroundCap(b.Traces[1].Width, b.Traces[1].Thickness, bad.h, bad.eps)
+		if got == nil || want == nil || got.Error() != want.Error() {
+			t.Errorf("h=%g eps=%g: TraceCapsOf error %v, GroundCap error %v", bad.h, bad.eps, got, want)
+		}
+	}
+}

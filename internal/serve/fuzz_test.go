@@ -7,8 +7,10 @@ package serve
 // The contract: no handler panic (serve.panics unchanged), never a
 // 500, and a 200 only for a body that is exactly one JSON value,
 // answered with valid JSON carrying exactly one result per requested
-// segment. `make fuzz` gives each target a short randomised budget;
-// the seeds run as ordinary cases in `go test`.
+// segment. On every /v1/batch input, the one-pass scanner must agree
+// with encoding/json whenever it accepts (checkScanAgrees). `make fuzz`
+// gives each target a short randomised budget; the seeds run as
+// ordinary cases in `go test`.
 
 import (
 	"bytes"
@@ -79,7 +81,21 @@ func FuzzBatchBody(f *testing.F) {
 	f.Add([]byte(`{"rise_time_ps":1e-300,"segments":[{"length_um":500,"signal_width_um":2,"ground_width_um":2,"spacing_um":1.5}]}`))
 	f.Add([]byte(`{"rise_time_ps":50,"segments":[{"length_um":500,"signal_width_um":1e300,"ground_width_um":2,"spacing_um":1.5}]}`))
 	f.Add([]byte(`{"rise_time_ps":50,"lookup_policy":"clamp","segments":[{"length_um":1e-300,"signal_width_um":1e-300,"ground_width_um":1e-300,"spacing_um":1e-300}]}`))
+	// Bodies encoding/json decodes or refuses that the one-pass scanner
+	// must refuse: null, an escape, a case-folded or repeated key, a
+	// number ParseFloat refuses, a BOM, an empty body, a non-object and
+	// null values (an unknown key and trailing data are seeded above).
+	f.Add([]byte(`null`))
+	f.Add([]byte(`{"rise_time_ps":50,"segments":[{"length_um":500,"signal_width_um":2,"ground_width_um":2,"spacing_um":1.5,"shielding":"\u0063oplanar"}]}`))
+	f.Add([]byte(`{"Rise_Time_Ps":50,"segments":[{"Length_UM":500,"signal_width_um":2,"ground_width_um":2,"spacing_um":1.5}]}`))
+	f.Add([]byte(`{"rise_time_ps":40,"rise_time_ps":50,"segments":[{"length_um":500,"signal_width_um":2,"ground_width_um":2,"spacing_um":1.5,"spacing_um":1.2}]}`))
+	f.Add([]byte(`{"rise_time_ps":1e400,"segments":[{"length_um":500,"signal_width_um":2,"ground_width_um":2,"spacing_um":1.5}]}`))
+	f.Add([]byte("\xef\xbb\xbf{\"rise_time_ps\":50,\"segments\":[{\"length_um\":500,\"signal_width_um\":2,\"ground_width_um\":2,\"spacing_um\":1.5}]}"))
+	f.Add([]byte(``))
+	f.Add([]byte(`[{"rise_time_ps":50}]`))
+	f.Add([]byte(`{"rise_time_ps":50,"check":null,"segments":null}`))
 	f.Fuzz(func(t *testing.T, body []byte) {
+		checkScanAgrees(t, body)
 		rec := fuzzPost(t, s, "/v1/batch", body)
 		if rec.Code != http.StatusOK {
 			return

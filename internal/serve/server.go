@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -538,16 +539,17 @@ func toResult(rlc netlist.SegmentRLC) SegmentResult {
 	return SegmentResult{ROhm: rlc.R, LH: rlc.L, CF: rlc.C}
 }
 
-// decodeJSON reads the request body as exactly one JSON value:
-// unknown fields and anything but whitespace after the value are a
-// 400, never silently ignored.
+// decodeJSON reads the request body, at most maxBodyBytes of it, and
+// decodes it as exactly one JSON value: unknown fields and anything but
+// whitespace after the value are a 400, never silently ignored. A
+// /v1/batch body goes through scanBatch first; every body it refuses,
+// and every other request type, is decoded from the same bytes by
+// encoding/json.
 func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	err := dec.Decode(v)
+	body, err := readBody(w, r)
 	if err == nil {
-		if _, terr := dec.Token(); terr != io.EOF {
-			err = errors.New("trailing data after the JSON value")
+		if req, ok := v.(*BatchRequest); !ok || !scanBatch(body, req) {
+			err = decodeStd(body, v)
 		}
 	}
 	if err != nil {
@@ -556,6 +558,36 @@ func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
 		return false
 	}
 	return true
+}
+
+// maxBodyPresize caps the buffer readBody allocates before any byte
+// arrives, so a false Content-Length cannot make the daemon allocate
+// maxBodyBytes per request; past it the buffer grows as bytes arrive.
+const maxBodyPresize = 1 << 20
+
+// readBody reads the whole request body through http.MaxBytesReader,
+// into one buffer presized from Content-Length (plus bytes.MinRead, so
+// the read that sees EOF needs no growth). A body over maxBodyBytes is
+// the reader's "request body too large" error, whatever it holds.
+func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+	size := min(max(r.ContentLength, 0), maxBodyPresize)
+	buf := bytes.NewBuffer(make([]byte, 0, size+bytes.MinRead))
+	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	return buf.Bytes(), err
+}
+
+// decodeStd decodes body into v with encoding/json: unknown fields are
+// refused, and so is anything but whitespace after the one value.
+func decodeStd(body []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("trailing data after the JSON value")
+	}
+	return nil
 }
 
 // retryAfterValue renders a Retry-After header value: whole seconds,
