@@ -147,7 +147,7 @@ type (
 )
 
 // NewExtractor builds inductance tables and returns an extractor.
-// Options (e.g. WithObserver) configure instrumentation.
+// Options (e.g. WithTableCache) configure it.
 func NewExtractor(tech Technology, freq float64, axes TableAxes, shieldings []Shielding, opts ...ExtractorOption) (*Extractor, error) {
 	return core.NewExtractor(tech, freq, axes, shieldings, opts...)
 }
@@ -171,7 +171,7 @@ func BuildTables(cfg TableConfig, axes TableAxes) (*TableSet, error) {
 
 // BuildTablesCtx is BuildTables with cancellation; see NewExtractorCtx.
 func BuildTablesCtx(ctx context.Context, cfg TableConfig, axes TableAxes) (*TableSet, error) {
-	return table.BuildCtx(ctx, cfg, axes, nil)
+	return table.BuildCtx(ctx, cfg, axes)
 }
 
 // LoadTables reads a table set saved with TableSet.SaveFile.
@@ -537,8 +537,8 @@ type GeomLayer = geom.Layer
 // "Observability" sections of README.md and DESIGN.md).
 type (
 	// Observer collects hierarchical timing spans and routes them to
-	// sinks. The zero-cost process default is obtained with
-	// DefaultObserver.
+	// sinks. The process has one, DefaultObserver, where every span
+	// goes.
 	Observer = obs.Observer
 	// ObsSpan is one timed region of work.
 	ObsSpan = obs.Span
@@ -554,16 +554,10 @@ type (
 	ExtractorOption = core.Option
 )
 
-// WithObserver routes an extractor's spans to the given observer.
-func WithObserver(o *Observer) ExtractorOption { return core.WithObserver(o) }
-
-// DefaultObserver returns the process-wide observer used by all
-// instrumented code unless overridden. It is disabled (and its spans
-// cost nothing) until a sink is attached with AddSink.
+// DefaultObserver returns the process-wide observer, where all
+// instrumented code traces. It is disabled (and its spans cost
+// nothing) until a sink is attached with AddSink.
 func DefaultObserver() *Observer { return obs.Default() }
-
-// NewObserver returns an independent observer emitting to the sinks.
-func NewObserver(sinks ...ObsSink) *Observer { return obs.New(sinks...) }
 
 // NewJSONLTraceSink returns a sink writing one JSON object per event
 // to w (the JSON-lines trace format of the -trace CLI flag).

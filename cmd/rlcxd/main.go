@@ -40,7 +40,6 @@ import (
 	"clockrlc/internal/check"
 	"clockrlc/internal/cliobs"
 	"clockrlc/internal/core"
-	"clockrlc/internal/obs"
 	"clockrlc/internal/serve"
 	"clockrlc/internal/table"
 	"clockrlc/internal/units"
@@ -66,7 +65,7 @@ func main() {
 	flag.StringVar(&o.addr, "addr", "127.0.0.1:8650", "listen `address` (host:port; :0 picks a free port)")
 	flag.StringVar(&o.cacheDir, "cache", "", "content-addressed table cache `directory` (empty: build in memory only)")
 	flag.IntVar(&o.maxSets, "max-sets", 64,
-		"resident table-set bound, enforced per shard: each of the registry's 8 shards keeps ⌈N/8⌉ sets and evicts its own least recently used, so up to 8·⌈N/8⌉ stay resident (0 = unbounded)")
+		"resident table-set bound: a miss past N sets evicts the least recently used (0 = unbounded)")
 	flag.IntVar(&o.workers, "workers", 0, "table-build worker pool size (0 = GOMAXPROCS)")
 	flag.Float64Var(&o.thickness, "thickness", 2, "metal thickness (µm)")
 	flag.Float64Var(&o.capHeight, "caph", 2, "height over the capacitive reference (µm)")
@@ -138,7 +137,6 @@ func run(ctx context.Context, o options) error {
 		Workers:         o.workers,
 		DefaultCheck:    checkPolicy,
 		DefaultLookup:   lp,
-		Observer:        obs.Default(),
 		MaxInFlight:     o.maxInflight,
 		QueueDepth:      o.queue,
 		QueueWait:       o.queueWait,

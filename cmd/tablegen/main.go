@@ -225,14 +225,14 @@ func run(ctx context.Context, out, name string, thickness float64, rhoName, shie
 			return cerr
 		}
 		hits0, _, _, _ := table.CacheStats()
-		set, err = cache.GetOrBuildCtx(ctx, cfg, axes, nil)
+		set, err = cache.GetOrBuildCtx(ctx, cfg, axes)
 		if hits, _, _, _ := table.CacheStats(); err == nil && hits > hits0 {
 			key, _ := table.CacheKey(cfg, axes)
 			fmt.Printf("cache hit in %s (key %.12s…): reused the stored sweep, zero solver calls\n",
 				cacheDir, key)
 		}
 	} else {
-		set, err = table.BuildCtx(ctx, cfg, axes, nil)
+		set, err = table.BuildCtx(ctx, cfg, axes)
 	}
 	close(done)
 	progressWG.Wait()

@@ -47,23 +47,22 @@ func AddFlags(fs *flag.FlagSet) *Flags {
 
 // Session is the live observability state of one CLI run.
 type Session struct {
-	root     obs.Span
-	traceF   *os.File
-	sink     *obs.JSONLSink
-	cpuF     *os.File
-	memPath  string
-	metrics  bool
-	observer *obs.Observer
-	sampler  *obs.RuntimeSampler
-	debug    *http.Server
-	debugLn  net.Listener
+	root    obs.Span
+	traceF  *os.File
+	sink    *obs.JSONLSink
+	cpuF    *os.File
+	memPath string
+	metrics bool
+	sampler *obs.RuntimeSampler
+	debug   *http.Server
+	debugLn net.Listener
 }
 
 // Start opens the requested sinks and profiles and begins a root span
 // named after the tool. It returns a Session whose Close must run
 // before exit (defer it right after a successful Start).
 func (f *Flags) Start(name string) (*Session, error) {
-	s := &Session{memPath: f.MemProfile, metrics: f.Metrics, observer: obs.Default()}
+	s := &Session{memPath: f.MemProfile, metrics: f.Metrics}
 	if f.Check != "" {
 		p, err := check.ParsePolicy(f.Check)
 		if err != nil {
@@ -78,7 +77,7 @@ func (f *Flags) Start(name string) (*Session, error) {
 		}
 		s.traceF = tf
 		s.sink = obs.NewJSONLSink(tf)
-		s.observer.AddSink(s.sink)
+		obs.Default().AddSink(s.sink)
 	}
 	if f.CPUProfile != "" {
 		cf, err := os.Create(f.CPUProfile)
@@ -120,7 +119,7 @@ func (f *Flags) Start(name string) (*Session, error) {
 	if f.Trace != "" || f.Metrics || f.PprofAddr != "" {
 		s.sampler = obs.StartRuntimeSampler(obs.DefaultRegistry(), time.Second)
 	}
-	_, s.root = s.observer.StartCtx(context.Background(), name)
+	_, s.root = obs.StartCtx(context.Background(), name)
 	return s, nil
 }
 
@@ -170,7 +169,7 @@ func (s *Session) Close() {
 	if s.sink != nil {
 		snap := obs.DefaultRegistry().Snapshot()
 		s.sink.Emit(&obs.Event{Type: obs.EventMetrics, Time: time.Now(), Snap: snap})
-		s.observer.RemoveSink(s.sink)
+		obs.Default().RemoveSink(s.sink)
 		if err := s.sink.Flush(); err != nil {
 			fmt.Fprintf(os.Stderr, "warning: trace write: %v\n", err)
 		}

@@ -144,20 +144,12 @@ type Extractor struct {
 	Frequency float64
 	tables    map[geom.Shielding]*table.Set
 	cache     *table.Cache
-	obs       *obs.Observer
 	checks    *check.Engine
 	lookup    table.LookupPolicy
 }
 
 // Option configures an Extractor at construction time.
 type Option func(*Extractor)
-
-// WithObserver routes the extractor's spans (table builds, segment
-// extraction, lookups) to the given observer instead of the
-// process-wide default. Metrics counters remain process-wide.
-func WithObserver(o *obs.Observer) Option {
-	return func(e *Extractor) { e.obs = o }
-}
 
 // WithTableCache makes NewExtractor consult the content-addressed
 // on-disk cache before running any field-solver sweep and write newly
@@ -190,15 +182,6 @@ func WithLookupPolicy(p table.LookupPolicy) Option {
 			e.tables[sh] = set.WithLookup(p)
 		}
 	}
-}
-
-// observer returns the configured observer, falling back to the
-// process default.
-func (e *Extractor) observer() *obs.Observer {
-	if e.obs != nil {
-		return e.obs
-	}
-	return obs.Default()
 }
 
 // checkEngine returns the extractor's invariant engine: the WithChecks
@@ -238,7 +221,7 @@ func NewExtractorCtx(ctx context.Context, tech Technology, freq float64, axes ta
 	for _, o := range opts {
 		o(e)
 	}
-	ctx, sp := e.observer().StartCtx(ctx, "core.build_tables")
+	ctx, sp := obs.StartCtx(ctx, "core.build_tables")
 	defer sp.End()
 	for _, sh := range shieldings {
 		cfg := table.Config{
@@ -253,9 +236,9 @@ func NewExtractorCtx(ctx context.Context, tech Technology, freq float64, axes ta
 		var set *table.Set
 		var err error
 		if e.cache != nil {
-			set, err = e.cache.GetOrBuildCtx(ctx, cfg, axes, e.observer())
+			set, err = e.cache.GetOrBuildCtx(ctx, cfg, axes)
 		} else {
-			set, err = table.BuildCtx(ctx, cfg, axes, e.observer())
+			set, err = table.BuildCtx(ctx, cfg, axes)
 		}
 		if err != nil {
 			return nil, fmt.Errorf("core: building %v tables: %w", sh, err)
@@ -310,11 +293,6 @@ func NewExtractorFromTables(tech Technology, freq float64, sets ...*table.Set) (
 func sameFrequency(a, b float64) bool {
 	return math.Abs(a-b) <= 1e-9*math.Max(math.Abs(a), math.Abs(b))
 }
-
-// SetObserver routes the extractor's spans to o (nil restores the
-// process default). Covers extractors built via NewExtractorFromTables
-// or NewMultiExtractor, which predate the Option list.
-func (e *Extractor) SetObserver(o *obs.Observer) { e.obs = o }
 
 // Configure applies options to an already-constructed extractor — the
 // path a long-running server takes, where the table sets are shared
@@ -432,7 +410,7 @@ func (e *Extractor) DirectLoopL(s Segment) (float64, error) {
 
 // DirectLoopLCtx is DirectLoopL with context-parented tracing.
 func (e *Extractor) DirectLoopLCtx(ctx context.Context, s Segment) (float64, error) {
-	_, sp := e.observer().StartCtx(ctx, "core.direct_loop_l")
+	_, sp := obs.StartCtx(ctx, "core.direct_loop_l")
 	defer sp.End()
 	directSolves.Inc()
 	blk, err := e.Block(s)
@@ -503,7 +481,7 @@ func (e *Extractor) SegmentRLCCtx(ctx context.Context, s Segment) (netlist.Segme
 	if err := s.Validate(); err != nil {
 		return netlist.SegmentRLC{}, err
 	}
-	ctx, sp := e.observer().StartCtx(ctx, "core.extract")
+	ctx, sp := obs.StartCtx(ctx, "core.extract")
 	defer sp.End()
 	sp.SetAttr("length", s.Length)
 	segmentsExtracted.Inc()
@@ -534,7 +512,7 @@ func (e *Extractor) SegmentRCOnlyCtx(ctx context.Context, s Segment) (netlist.Se
 	if err := s.Validate(); err != nil {
 		return netlist.SegmentRLC{}, err
 	}
-	_, sp := e.observer().StartCtx(ctx, "core.extract_rc")
+	_, sp := obs.StartCtx(ctx, "core.extract_rc")
 	defer sp.End()
 	sp.SetAttr("length", s.Length)
 	segmentsExtracted.Inc()

@@ -7,14 +7,15 @@ import (
 	"clockrlc/internal/obs"
 )
 
-// TestWithObserverSpanNesting checks the trace shape a CLI run
-// produces: table builds during construction, then per-segment
-// core.extract spans each parenting a table.lookup span.
-func TestWithObserverSpanNesting(t *testing.T) {
+// TestExtractorSpanNesting checks the trace shape a CLI run produces
+// on the process observer: table builds during construction, then
+// per-segment core.extract spans each parenting a table.lookup span.
+func TestExtractorSpanNesting(t *testing.T) {
 	mem := &obs.MemorySink{}
-	o := obs.New(mem)
+	obs.Default().AddSink(mem)
+	defer obs.Default().RemoveSink(mem)
 	e, err := NewExtractor(testTech(), fsig, testAxes(),
-		[]geom.Shielding{geom.ShieldNone}, WithObserver(o))
+		[]geom.Shielding{geom.ShieldNone})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,20 +45,5 @@ func TestWithObserverSpanNesting(t *testing.T) {
 	}
 	if extractID == 0 || lookupParent != extractID {
 		t.Errorf("table.lookup parent = %d, want core.extract span %d", lookupParent, extractID)
-	}
-}
-
-// TestObserverDefaultsDisabled ensures an un-optioned extractor routes
-// to the disabled process default (no events, no failures).
-func TestObserverDefaultsDisabled(t *testing.T) {
-	e := newTestExtractor(t, []geom.Shielding{geom.ShieldNone})
-	if e.observer() != obs.Default() {
-		t.Fatal("expected the process-default observer")
-	}
-	if e.observer().Enabled() {
-		t.Fatal("default observer should be disabled in tests")
-	}
-	if _, err := e.SegmentRLC(fig1Segment()); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -76,7 +76,7 @@ func (e *Extractor) loopLBatchInto(ctx context.Context, segs []Segment, out []fl
 	if len(segs) == 0 {
 		return 0, nil
 	}
-	_, sp := e.observer().StartCtx(ctx, "table.lookup")
+	_, sp := obs.StartCtx(ctx, "table.lookup")
 	defer sp.End()
 	sp.SetAttr("batch", len(segs))
 	loopCompositions.Add(int64(len(segs)))
@@ -177,7 +177,7 @@ func (e *Extractor) SegmentsRLCCtx(ctx context.Context, segs []Segment) ([]netli
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	ctx, sp := e.observer().StartCtx(ctx, "core.batch")
+	ctx, sp := obs.StartCtx(ctx, "core.batch")
 	sp.SetAttr("segments", len(segs))
 	sp.SetAttr("mode", "vectorized")
 	defer sp.End()

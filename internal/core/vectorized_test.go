@@ -158,9 +158,10 @@ func TestSegmentsRLCVectorizedCancellation(t *testing.T) {
 // per segment).
 func TestSegmentsRLCVectorizedSpan(t *testing.T) {
 	mem := &obs.MemorySink{}
-	o := obs.New(mem)
+	obs.Default().AddSink(mem)
+	defer obs.Default().RemoveSink(mem)
 	e, err := NewExtractor(testTech(), fsig, testAxes(),
-		[]geom.Shielding{geom.ShieldNone}, WithObserver(o))
+		[]geom.Shielding{geom.ShieldNone})
 	if err != nil {
 		t.Fatal(err)
 	}

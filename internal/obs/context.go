@@ -37,21 +37,24 @@ func SpanFromContext(ctx context.Context) Span {
 	return sp
 }
 
-// StartCtx begins a span parented to the span carried by ctx (a root
-// span when ctx carries none, or one from a different observer) and
-// returns a derived context carrying the new span, for passing to
-// child operations. It is correct from any number of goroutines. With
-// the observer disabled it returns (ctx, Span{}) after one atomic
-// load.
-func (o *Observer) StartCtx(ctx context.Context, name string) (context.Context, Span) {
-	if o == nil || !o.enabled.Load() {
+// StartCtx begins a span on the default observer, parented to the span
+// carried by ctx (a root span when ctx carries none), and returns a
+// derived context carrying the new span, for passing to child
+// operations. It is correct from any number of goroutines. With the
+// observer disabled it returns (ctx, Span{}) after one atomic load.
+func StartCtx(ctx context.Context, name string) (context.Context, Span) {
+	return defaultObserver.startCtx(ctx, name)
+}
+
+func (o *Observer) startCtx(ctx context.Context, name string) (context.Context, Span) {
+	if !o.enabled.Load() {
 		return ctx, Span{}
 	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	var parent uint64
-	if p := SpanFromContext(ctx); p.d != nil && p.d.o == o {
+	if p := SpanFromContext(ctx); p.d != nil {
 		parent = p.d.id
 	}
 	d := &spanData{o: o, id: o.nextID.Add(1), parent: parent, name: name, start: o.clock()}
@@ -61,9 +64,4 @@ func (o *Observer) StartCtx(ctx context.Context, name string) (context.Context, 
 	emit(sinks, &Event{Type: EventSpanStart, Name: name, Span: d.id, Parent: d.parent, Time: d.start})
 	sp := Span{d: d}
 	return context.WithValue(ctx, spanCtxKey{}, sp), sp
-}
-
-// StartCtx begins a context-parented span on the default observer.
-func StartCtx(ctx context.Context, name string) (context.Context, Span) {
-	return defaultObserver.StartCtx(ctx, name)
 }

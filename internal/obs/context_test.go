@@ -8,10 +8,10 @@ import (
 
 func TestStartCtxParenting(t *testing.T) {
 	sink := &MemorySink{}
-	o := New(sink)
-	ctx, root := o.StartCtx(context.Background(), "root")
-	cctx, child := o.StartCtx(ctx, "child")
-	_, grand := o.StartCtx(cctx, "grandchild")
+	o := newObserver(sink)
+	ctx, root := o.startCtx(context.Background(), "root")
+	cctx, child := o.startCtx(ctx, "child")
+	_, grand := o.startCtx(cctx, "grandchild")
 	grand.End()
 	child.End()
 	root.End()
@@ -39,9 +39,9 @@ func TestStartCtxParenting(t *testing.T) {
 }
 
 func TestStartCtxDisarmedReturnsContextUnchanged(t *testing.T) {
-	o := New() // no sinks: disabled
+	o := newObserver() // no sinks: disabled
 	ctx := context.Background()
-	got, sp := o.StartCtx(ctx, "hot")
+	got, sp := o.startCtx(ctx, "hot")
 	if got != ctx {
 		t.Error("disarmed StartCtx wrapped the context")
 	}
@@ -49,7 +49,7 @@ func TestStartCtxDisarmedReturnsContextUnchanged(t *testing.T) {
 		t.Error("disarmed StartCtx returned an active span")
 	}
 	allocs := testing.AllocsPerRun(1000, func() {
-		_, sp := o.StartCtx(ctx, "hot")
+		_, sp := o.startCtx(ctx, "hot")
 		sp.End()
 	})
 	if allocs != 0 {
@@ -70,26 +70,13 @@ func TestContextWithSpanZeroAndNil(t *testing.T) {
 	}
 }
 
-func TestStartCtxIgnoresForeignObserverSpan(t *testing.T) {
-	sinkA, sinkB := &MemorySink{}, &MemorySink{}
-	a, b := New(sinkA), New(sinkB)
-	ctx, rootA := a.StartCtx(context.Background(), "a-root")
-	_, spB := b.StartCtx(ctx, "b-span") // parent belongs to observer a
-	spB.End()
-	rootA.End()
-	evs := sinkB.Events()
-	if evs[0].Parent != 0 {
-		t.Errorf("span parented across observers: parent = %d, want 0", evs[0].Parent)
-	}
-}
-
 // TestStartCtxCrossGoroutine is the core concurrency-correctness
 // property: spans started via StartCtx from many goroutines all parent
 // under the span their context carries, never under each other.
 func TestStartCtxCrossGoroutine(t *testing.T) {
 	sink := &MemorySink{}
-	o := New(sink)
-	ctx, root := o.StartCtx(context.Background(), "build")
+	o := newObserver(sink)
+	ctx, root := o.startCtx(context.Background(), "build")
 
 	const workers, perWorker = 8, 50
 	var cwg sync.WaitGroup
@@ -98,7 +85,7 @@ func TestStartCtxCrossGoroutine(t *testing.T) {
 		go func() {
 			defer cwg.Done()
 			for i := 0; i < perWorker; i++ {
-				_, sp := o.StartCtx(ctx, "cell")
+				_, sp := o.startCtx(ctx, "cell")
 				sp.End()
 			}
 		}()

@@ -10,12 +10,13 @@
 //   - counters are single atomic adds, created once at package init
 //     of the instrumented package and shared process-wide.
 //
-// Tracing model: an Observer is a tracing scope. StartCtx begins a
-// span parented to the span its context carries and returns a derived
-// context carrying the new span (see context.go), so extract → table
-// lookup → cascade nest by passing the context down, from any number
-// of goroutines. Every span start/end is forwarded to the Observer's
-// sinks as an Event.
+// Tracing model: there is one Observer, the process-wide Default, and
+// every span goes to it. StartCtx begins a span parented to the span
+// its context carries and returns a derived context carrying the new
+// span (see context.go), so extract → table lookup → cascade nest by
+// passing the context down, from any number of goroutines. Every span
+// start/end is forwarded to the observer's sinks as an Event; a sink
+// attaches with Default().AddSink.
 //
 // Metrics model: counters/gauges/histograms live in a Registry
 // (package-level helpers use a process-wide default, like expvar).
@@ -29,35 +30,23 @@ import (
 	"time"
 )
 
-// Observer is a tracing scope: spans started on it are timed and
-// forwarded to its sinks. The zero value and nil are valid, disabled
-// observers. An Observer with no sinks is disabled and StartCtx is
-// allocation-free.
+// Observer times spans and forwards them to its sinks. The process
+// has one, Default. An Observer with no sinks is disabled and StartCtx
+// is allocation-free.
 type Observer struct {
 	enabled atomic.Bool
 	nextID  atomic.Uint64
 
 	mu    sync.Mutex
 	sinks []Sink
-	now   func() time.Time
+	now   func() time.Time // nil means time.Now; tests pin it
 }
 
-// New returns an Observer forwarding to the given sinks (none ⇒
-// disabled until AddSink).
-func New(sinks ...Sink) *Observer {
-	o := &Observer{now: time.Now}
-	for _, s := range sinks {
-		o.AddSink(s)
-	}
-	return o
-}
+var defaultObserver = &Observer{}
 
-var defaultObserver = New()
-
-// Default returns the process-wide observer. Library code that is not
-// handed an explicit Observer (e.g. via core's WithObserver option)
-// traces here; it stays disabled until a sink is attached, typically
-// by a CLI's -trace flag.
+// Default returns the process-wide observer, where every span goes. It
+// stays disabled until a sink is attached, typically by a CLI's -trace
+// flag.
 func Default() *Observer { return defaultObserver }
 
 // AddSink attaches a sink and enables the observer.
@@ -67,9 +56,6 @@ func (o *Observer) AddSink(s Sink) {
 	}
 	o.mu.Lock()
 	o.sinks = append(o.sinks, s)
-	if o.now == nil {
-		o.now = time.Now
-	}
 	o.mu.Unlock()
 	o.enabled.Store(true)
 }

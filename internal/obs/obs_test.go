@@ -10,14 +10,24 @@ import (
 	"time"
 )
 
+// newObserver returns a private observer forwarding to sinks, so a
+// test can read its own spans without touching Default.
+func newObserver(sinks ...Sink) *Observer {
+	o := &Observer{}
+	for _, s := range sinks {
+		o.AddSink(s)
+	}
+	return o
+}
+
 func TestSpanNestingAndOrdering(t *testing.T) {
 	sink := &MemorySink{}
-	o := New(sink)
+	o := newObserver(sink)
 
-	ctx, root := o.StartCtx(context.Background(), "extract")
-	_, lookup := o.StartCtx(ctx, "table.lookup")
+	ctx, root := o.startCtx(context.Background(), "extract")
+	_, lookup := o.startCtx(ctx, "table.lookup")
 	lookup.End()
-	_, cascade := o.StartCtx(ctx, "cascade")
+	_, cascade := o.startCtx(ctx, "cascade")
 	cascade.End()
 	root.End()
 
@@ -62,8 +72,8 @@ func TestSpanNestingAndOrdering(t *testing.T) {
 
 func TestSpanDoubleEndAndZeroSpan(t *testing.T) {
 	sink := &MemorySink{}
-	o := New(sink)
-	_, s := o.StartCtx(context.Background(), "x")
+	o := newObserver(sink)
+	_, s := o.startCtx(context.Background(), "x")
 	s.End()
 	s.End()
 	if n := len(sink.Events()); n != 2 {
@@ -79,7 +89,7 @@ func TestSpanDoubleEndAndZeroSpan(t *testing.T) {
 
 func TestSpanAttrsAndDuration(t *testing.T) {
 	sink := &MemorySink{}
-	o := New(sink)
+	o := newObserver(sink)
 	// Deterministic clock: each call advances 5 ms.
 	var tick int
 	base := time.Unix(1000, 0)
@@ -87,7 +97,7 @@ func TestSpanAttrsAndDuration(t *testing.T) {
 		tick++
 		return base.Add(time.Duration(tick) * 5 * time.Millisecond)
 	}
-	_, s := o.StartCtx(context.Background(), "build")
+	_, s := o.startCtx(context.Background(), "build")
 	s.SetAttr("entries", 42)
 	s.End()
 	evs := sink.Events()
@@ -101,10 +111,10 @@ func TestSpanAttrsAndDuration(t *testing.T) {
 }
 
 func TestNoopSpanZeroAlloc(t *testing.T) {
-	o := New() // no sinks: disabled
+	o := newObserver() // no sinks: disabled
 	ctx := context.Background()
 	allocs := testing.AllocsPerRun(1000, func() {
-		_, sp := o.StartCtx(ctx, "hot")
+		_, sp := o.startCtx(ctx, "hot")
 		sp.SetAttr("k", 1)
 		sp.End()
 	})
@@ -124,9 +134,9 @@ func TestCounterZeroAlloc(t *testing.T) {
 func TestJSONLSinkRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	sink := NewJSONLSink(&buf)
-	o := New(sink)
-	ctx, root := o.StartCtx(context.Background(), "extract")
-	_, child := o.StartCtx(ctx, "table.lookup")
+	o := newObserver(sink)
+	ctx, root := o.startCtx(context.Background(), "extract")
+	_, child := o.startCtx(ctx, "table.lookup")
 	child.SetAttr("w_um", 10.0)
 	child.End()
 	root.End()
@@ -166,15 +176,15 @@ func TestJSONLSinkRoundTrip(t *testing.T) {
 
 func TestConcurrentSpansDoNotRace(t *testing.T) {
 	sink := &MemorySink{}
-	o := New(sink)
-	ctx, root := o.StartCtx(context.Background(), "root")
+	o := newObserver(sink)
+	ctx, root := o.startCtx(context.Background(), "root")
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				_, sp := o.StartCtx(ctx, "worker")
+				_, sp := o.startCtx(ctx, "worker")
 				sp.SetAttr("i", i)
 				sp.End()
 			}
@@ -190,7 +200,7 @@ func TestConcurrentSpansDoNotRace(t *testing.T) {
 
 func TestRemoveSinkDisables(t *testing.T) {
 	sink := &MemorySink{}
-	o := New(sink)
+	o := newObserver(sink)
 	if !o.Enabled() {
 		t.Fatal("observer with sink not enabled")
 	}
@@ -198,7 +208,7 @@ func TestRemoveSinkDisables(t *testing.T) {
 	if o.Enabled() {
 		t.Fatal("observer still enabled after RemoveSink")
 	}
-	if _, sp := o.StartCtx(context.Background(), "x"); sp.Active() {
+	if _, sp := o.startCtx(context.Background(), "x"); sp.Active() {
 		t.Error("disabled observer returned active span")
 	}
 }

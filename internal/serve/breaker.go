@@ -36,8 +36,8 @@ const (
 )
 
 // breaker is one key's circuit state. It holds no lock of its own:
-// every access happens under the owning shard's mutex, which the
-// registry already takes on the miss/fill paths the breaker guards.
+// every access happens under the registry's mutex, which the registry
+// already takes on the miss/fill paths the breaker guards.
 type breaker struct {
 	threshold int           // consecutive failures to open
 	cooldown  time.Duration // open → half-open delay

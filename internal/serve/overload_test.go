@@ -317,7 +317,7 @@ func TestClientGone499(t *testing.T) {
 // half-open probe recovers the key to 200. Deterministic under -race:
 // failures are counted per caller observation, so any interleaving of
 // the coalesced fill reaches the threshold, and trips serialise under
-// the shard lock.
+// the registry lock.
 func TestBreakerChaosAcceptance(t *testing.T) {
 	var (
 		clockMu sync.Mutex
@@ -521,12 +521,11 @@ func TestDrainFlipsReadiness(t *testing.T) {
 	}
 }
 
-// Evict-while-filling racing Acquire at shard-colliding keys: a
-// 1-per-shard registry is hammered by workers alternating two keys in
-// one shard while cache loads are latency-injected, so evictions land
-// on entries that are mid-fill or held. Every held set must stay
-// readable (never munmapped underneath a request), and the churn must
-// leak neither goroutines nor mappings.
+// Evict-while-filling racing Acquire: a one-slot registry is hammered
+// by workers alternating two keys while cache loads are
+// latency-injected, so evictions land on entries that are mid-fill or
+// held. Every held set must stay readable (never munmapped underneath
+// a request), and the churn must leak neither goroutines nor mappings.
 func TestRegistryEvictWhileFillingRace(t *testing.T) {
 	cache, err := table.NewCache(t.TempDir())
 	if err != nil {
@@ -534,11 +533,11 @@ func TestRegistryEvictWhileFillingRace(t *testing.T) {
 	}
 	ctx := context.Background()
 	axes := testAxes()
-	r := NewRegistry(RegistryOptions{Cache: cache, MaxSets: 1}) // perShard = 1
+	r := NewRegistry(RegistryOptions{Cache: cache, MaxSets: 1})
 	cfgA := testTableConfig()
-	cfgB := sameShardConfig(t, r, cfgA, axes)
+	cfgB := otherConfig(cfgA)
 	for _, cfg := range []table.Config{cfgA, cfgB} {
-		if _, err := cache.GetOrBuildCtx(ctx, cfg, axes, nil); err != nil {
+		if _, err := cache.GetOrBuildCtx(ctx, cfg, axes); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -1,5 +1,5 @@
 // Package serve is the extraction daemon's in-process layer: a
-// sharded, refcounted registry of table sets over the
+// refcounted registry of table sets over the
 // content-addressed cache, and the HTTP/JSON server that drives
 // core's batch extraction through it. One resident process amortises
 // the mmap/open cost of a table library across every request — the
@@ -13,7 +13,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -45,29 +44,23 @@ var openSets atomic.Int64
 
 func openSetsAdd(d int64) { regOpen.Set(float64(openSets.Add(d))) }
 
-// regShardCount shards the registry map so concurrent requests for
-// different table sets never contend on one lock. Power of two.
-const regShardCount = 8
-
-// Registry is a sharded in-memory layer over the content-addressed
-// table cache. Entries are keyed by table.CacheKey and refcounted:
-// Acquire pins a set, the returned release unpins it, and an evicted
-// set is closed (its mapping released) only when the last holder
-// releases — so an in-flight request can never have its spline
-// coefficients unmapped underneath it.
+// Registry is an in-memory layer over the content-addressed table
+// cache. Entries are keyed by table.CacheKey and refcounted: Acquire
+// pins a set, the returned release unpins it, and an evicted set is
+// closed (its mapping released) only when the last holder releases —
+// so an in-flight request can never have its spline coefficients
+// unmapped underneath it. One mutex guards the entries, their
+// least-recently-used order and the breakers; an acquire holds it for
+// a map lookup and a refcount.
 type Registry struct {
-	cache    *table.Cache
-	o        *obs.Observer
-	perShard int // max ready entries per shard; 0 = unbounded
-	bkFails  int // consecutive fill failures to open a key's breaker; 0 = disabled
-	bkCool   time.Duration
-	now      func() time.Time
-	clock    atomic.Int64
-	shards   [regShardCount]regShard
-}
+	cache   *table.Cache
+	maxSets int // max resident entries; 0 = unbounded
+	bkFails int // consecutive fill failures to open a key's breaker; 0 = disabled
+	bkCool  time.Duration
+	now     func() time.Time
 
-type regShard struct {
 	mu      sync.Mutex
+	clock   int64 // last lastUse stamp handed out: the LRU order
 	entries map[string]*regEntry
 	// breakers outlive entries: a failed fill removes its entry (so
 	// the key stays retryable) but the key's failure history must
@@ -95,14 +88,9 @@ type RegistryOptions struct {
 	// Cache may be nil: misses then build in memory without
 	// persistence.
 	Cache *table.Cache
-	// MaxSets bounds the resident set count per shard: each of the
-	// regShardCount shards keeps at most ⌈MaxSets/regShardCount⌉ ready
-	// sets and evicts its own least recently used entry, so up to
-	// regShardCount·⌈MaxSets/regShardCount⌉ sets can be resident (4
-	// keeps up to 8). 0 means unbounded.
+	// MaxSets bounds the resident set count: a miss that would hold
+	// more evicts the least recently used entry. 0 means unbounded.
 	MaxSets int
-	// Observer routes fill spans (nil selects the default observer).
-	Observer *obs.Observer
 	// BreakerFailures opens a key's cold-build circuit after that many
 	// consecutive caller-observed fill failures; 0 disables the
 	// breaker.
@@ -117,11 +105,13 @@ type RegistryOptions struct {
 // NewRegistry builds a registry from opts.
 func NewRegistry(opts RegistryOptions) *Registry {
 	r := &Registry{
-		cache:   opts.Cache,
-		o:       opts.Observer,
-		bkFails: opts.BreakerFailures,
-		bkCool:  opts.BreakerCooldown,
-		now:     opts.Now,
+		cache:    opts.Cache,
+		maxSets:  opts.MaxSets,
+		bkFails:  opts.BreakerFailures,
+		bkCool:   opts.BreakerCooldown,
+		now:      opts.Now,
+		entries:  map[string]*regEntry{},
+		breakers: map[string]*breaker{},
 	}
 	if r.bkFails > 0 && r.bkCool <= 0 {
 		r.bkCool = 5 * time.Second
@@ -129,20 +119,7 @@ func NewRegistry(opts RegistryOptions) *Registry {
 	if r.now == nil {
 		r.now = time.Now
 	}
-	if opts.MaxSets > 0 {
-		r.perShard = (opts.MaxSets + regShardCount - 1) / regShardCount
-	}
-	for i := range r.shards {
-		r.shards[i].entries = map[string]*regEntry{}
-		r.shards[i].breakers = map[string]*breaker{}
-	}
 	return r
-}
-
-func (r *Registry) shard(key string) *regShard {
-	h := fnv.New32a()
-	h.Write([]byte(key))
-	return &r.shards[h.Sum32()&(regShardCount-1)]
 }
 
 // Acquire returns the resident set for (cfg, axes), filling it from
@@ -156,17 +133,17 @@ func (r *Registry) Acquire(ctx context.Context, cfg table.Config, axes table.Axe
 	if err != nil {
 		return nil, nil, err
 	}
-	sh := r.shard(key)
 
-	sh.mu.Lock()
-	if e, ok := sh.entries[key]; ok {
+	r.mu.Lock()
+	if e, ok := r.entries[key]; ok {
 		e.refs++
-		e.lastUse = r.clock.Add(1)
-		sh.mu.Unlock()
+		r.clock++
+		e.lastUse = r.clock
+		r.mu.Unlock()
 		select {
 		case <-e.ready:
 		case <-ctx.Done():
-			r.releaseEntry(sh, e)
+			r.releaseEntry(e)
 			return nil, nil, ctx.Err()
 		}
 		if e.err != nil {
@@ -174,11 +151,11 @@ func (r *Registry) Acquire(ctx context.Context, cfg table.Config, axes table.Axe
 			// drop our reference and record our own observation of the
 			// failure — under coalescing every disappointed waiter
 			// counts, which is what makes the trip deterministic.
-			r.releaseEntry(sh, e)
-			return nil, nil, r.fillFailed(sh, key, e.err, false)
+			r.releaseEntry(e)
+			return nil, nil, r.fillFailed(key, e.err, false)
 		}
 		regHits.Inc()
-		return e.set, r.releaseFunc(sh, e), nil
+		return e.set, r.releaseFunc(e), nil
 	}
 
 	// Miss: consult the key's breaker, insert a filling entry, evict
@@ -186,19 +163,20 @@ func (r *Registry) Acquire(ctx context.Context, cfg table.Config, axes table.Axe
 	// acquirable.
 	probe := false
 	if r.bkFails > 0 {
-		b := sh.breakerLocked(key, r)
+		b := r.breakerLocked(key)
 		ok, retryAfter, p := b.allow(r.now())
 		if !ok {
-			sh.mu.Unlock()
+			r.mu.Unlock()
 			regBkRejected.Inc()
 			return nil, nil, &BreakerOpenError{Key: key, RetryAfter: retryAfter}
 		}
 		probe = p
 	}
-	e := &regEntry{key: key, ready: make(chan struct{}), refs: 1, lastUse: r.clock.Add(1)}
-	sh.entries[key] = e
-	victims := sh.evictOverCapLocked(r.perShard, e)
-	sh.mu.Unlock()
+	r.clock++
+	e := &regEntry{key: key, ready: make(chan struct{}), refs: 1, lastUse: r.clock}
+	r.entries[key] = e
+	victims := r.evictOverCapLocked(e)
+	r.mu.Unlock()
 	for _, v := range victims {
 		v.Close()
 	}
@@ -210,29 +188,29 @@ func (r *Registry) Acquire(ctx context.Context, cfg table.Config, axes table.Axe
 	set, err := r.fill(ctx, cfg, axes)
 	e.set, e.err = set, err
 	if err != nil {
-		sh.mu.Lock()
-		if sh.entries[key] == e {
-			delete(sh.entries, key)
+		r.mu.Lock()
+		if r.entries[key] == e {
+			delete(r.entries, key)
 		}
 		e.evicted = true
-		sh.mu.Unlock()
+		r.mu.Unlock()
 		close(e.ready)
-		r.releaseEntry(sh, e)
-		return nil, nil, r.fillFailed(sh, key, err, probe)
+		r.releaseEntry(e)
+		return nil, nil, r.fillFailed(key, err, probe)
 	}
-	r.fillSucceeded(sh, key)
+	r.fillSucceeded(key)
 	openSetsAdd(1)
 	close(e.ready)
-	return set, r.releaseFunc(sh, e), nil
+	return set, r.releaseFunc(e), nil
 }
 
 // breakerLocked returns the key's breaker, creating it on first use.
-// Caller holds sh.mu.
-func (sh *regShard) breakerLocked(key string, r *Registry) *breaker {
-	b, ok := sh.breakers[key]
+// Caller holds r.mu.
+func (r *Registry) breakerLocked(key string) *breaker {
+	b, ok := r.breakers[key]
 	if !ok {
 		b = &breaker{threshold: r.bkFails, cooldown: r.bkCool}
-		sh.breakers[key] = b
+		r.breakers[key] = b
 	}
 	return b
 }
@@ -244,22 +222,22 @@ func (sh *regShard) breakerLocked(key string, r *Registry) *breaker {
 // its own breakers. A cancelled half-open probe re-arms the breaker
 // open with an expired cooldown so the very next acquire probes again
 // — never stranding the key in the probe-in-flight state.
-func (r *Registry) fillFailed(sh *regShard, key string, err error, probe bool) error {
+func (r *Registry) fillFailed(key string, err error, probe bool) error {
 	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 		if probe && r.bkFails > 0 {
-			sh.mu.Lock()
-			if b, ok := sh.breakers[key]; ok && b.state == bkHalfOpen {
+			r.mu.Lock()
+			if b, ok := r.breakers[key]; ok && b.state == bkHalfOpen {
 				b.state = bkOpen
 				b.until = r.now()
 			}
-			sh.mu.Unlock()
+			r.mu.Unlock()
 		}
 		return err
 	}
 	if r.bkFails > 0 {
-		sh.mu.Lock()
-		tripped := sh.breakerLocked(key, r).failure(r.now())
-		sh.mu.Unlock()
+		r.mu.Lock()
+		tripped := r.breakerLocked(key).failure(r.now())
+		r.mu.Unlock()
 		if tripped {
 			regBkOpens.Inc()
 		}
@@ -269,15 +247,15 @@ func (r *Registry) fillFailed(sh *regShard, key string, err error, probe bool) e
 
 // fillSucceeded closes the key's breaker (resetting its
 // consecutive-failure count).
-func (r *Registry) fillSucceeded(sh *regShard, key string) {
+func (r *Registry) fillSucceeded(key string) {
 	if r.bkFails <= 0 {
 		return
 	}
-	sh.mu.Lock()
-	if b, ok := sh.breakers[key]; ok {
+	r.mu.Lock()
+	if b, ok := r.breakers[key]; ok {
 		b.success()
 	}
-	sh.mu.Unlock()
+	r.mu.Unlock()
 }
 
 // retryAfterHint is the backoff a failed cold build suggests to
@@ -293,16 +271,13 @@ func (r *Registry) retryAfterHint() time.Duration {
 // (half-open probes in flight are not counted: the key is being
 // retested). Surfaced on /healthz for operators and load balancers.
 func (r *Registry) OpenBreakers() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	n := 0
-	for i := range r.shards {
-		sh := &r.shards[i]
-		sh.mu.Lock()
-		for _, b := range sh.breakers {
-			if b.state == bkOpen {
-				n++
-			}
+	for _, b := range r.breakers {
+		if b.state == bkOpen {
+			n++
 		}
-		sh.mu.Unlock()
 	}
 	return n
 }
@@ -315,48 +290,44 @@ func (r *Registry) fill(ctx context.Context, cfg table.Config, axes table.Axes) 
 		return nil, err
 	}
 	if r.cache != nil {
-		return r.cache.GetOrBuildCtx(ctx, cfg, axes, r.o)
+		return r.cache.GetOrBuildCtx(ctx, cfg, axes)
 	}
-	o := r.o
-	if o == nil {
-		o = obs.Default()
-	}
-	return table.BuildCtx(ctx, cfg, axes, o)
+	return table.BuildCtx(ctx, cfg, axes)
 }
 
 // releaseFunc wraps releaseEntry in a once so a double release (a
 // handler's defer racing an error path, say) can never unpin an
 // entry twice.
-func (r *Registry) releaseFunc(sh *regShard, e *regEntry) func() {
+func (r *Registry) releaseFunc(e *regEntry) func() {
 	var once sync.Once
-	return func() { once.Do(func() { r.releaseEntry(sh, e) }) }
+	return func() { once.Do(func() { r.releaseEntry(e) }) }
 }
 
 // releaseEntry unpins e and closes its set when it was evicted and
 // this was the last holder.
-func (r *Registry) releaseEntry(sh *regShard, e *regEntry) {
-	sh.mu.Lock()
+func (r *Registry) releaseEntry(e *regEntry) {
+	r.mu.Lock()
 	e.refs--
 	dead := e.evicted && e.refs == 0
-	sh.mu.Unlock()
+	r.mu.Unlock()
 	if dead && e.set != nil {
 		e.set.Close()
 		openSetsAdd(-1)
 	}
 }
 
-// evictOverCapLocked removes least-recently-used ready entries until
-// the shard is within cap, never evicting keep. It returns the
-// entries whose sets can be closed immediately (no holders); entries
-// still referenced close at their last release. Caller holds sh.mu.
-func (sh *regShard) evictOverCapLocked(cap int, keep *regEntry) []*table.Set {
-	if cap <= 0 {
+// evictOverCapLocked removes least-recently-used entries until the
+// registry is within maxSets, never evicting keep. It returns the sets
+// that can be closed immediately (no holders); entries still
+// referenced close at their last release. Caller holds r.mu.
+func (r *Registry) evictOverCapLocked(keep *regEntry) []*table.Set {
+	if r.maxSets <= 0 {
 		return nil
 	}
 	var closable []*table.Set
-	for len(sh.entries) > cap {
+	for len(r.entries) > r.maxSets {
 		var victim *regEntry
-		for _, e := range sh.entries {
+		for _, e := range r.entries {
 			if e == keep {
 				continue
 			}
@@ -367,7 +338,7 @@ func (sh *regShard) evictOverCapLocked(cap int, keep *regEntry) []*table.Set {
 		if victim == nil {
 			return closable
 		}
-		delete(sh.entries, victim.key)
+		delete(r.entries, victim.key)
 		victim.evicted = true
 		regEvicts.Inc()
 		if victim.refs == 0 {
@@ -386,16 +357,11 @@ func (sh *regShard) evictOverCapLocked(cap int, keep *regEntry) []*table.Set {
 	return closable
 }
 
-// Len reports the resident entry count across all shards.
+// Len reports the resident entry count.
 func (r *Registry) Len() int {
-	n := 0
-	for i := range r.shards {
-		sh := &r.shards[i]
-		sh.mu.Lock()
-		n += len(sh.entries)
-		sh.mu.Unlock()
-	}
-	return n
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return len(r.entries)
 }
 
 // Close evicts every entry, closing each set as its last holder
@@ -403,31 +369,28 @@ func (r *Registry) Len() int {
 // be called afterwards — the registry simply refills — so Close is
 // also usable as a flush.
 func (r *Registry) Close() error {
-	var first error
-	for i := range r.shards {
-		sh := &r.shards[i]
-		sh.mu.Lock()
-		var drop []*regEntry
-		for key, e := range sh.entries {
-			delete(sh.entries, key)
-			e.evicted = true
-			if e.refs == 0 {
-				drop = append(drop, e)
-			}
+	r.mu.Lock()
+	var drop []*regEntry
+	for key, e := range r.entries {
+		delete(r.entries, key)
+		e.evicted = true
+		if e.refs == 0 {
+			drop = append(drop, e)
 		}
-		sh.mu.Unlock()
-		for _, e := range drop {
-			select {
-			case <-e.ready:
-			default:
-				continue // filling entries close via their filler's release
+	}
+	r.mu.Unlock()
+	var first error
+	for _, e := range drop {
+		select {
+		case <-e.ready:
+		default:
+			continue // filling entries close via their filler's release
+		}
+		if e.set != nil {
+			if err := e.set.Close(); err != nil && first == nil {
+				first = fmt.Errorf("serve: close %s: %w", e.key, err)
 			}
-			if e.set != nil {
-				if err := e.set.Close(); err != nil && first == nil {
-					first = fmt.Errorf("serve: close %s: %w", e.key, err)
-				}
-				openSetsAdd(-1)
-			}
+			openSetsAdd(-1)
 		}
 	}
 	return first

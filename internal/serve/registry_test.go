@@ -137,23 +137,58 @@ func TestRegistryColdAcquire32Concurrent(t *testing.T) {
 	}
 }
 
-// sameShardConfig returns a config whose cache key lands in the same
-// shard as base's, with a different content address.
-func sameShardConfig(t *testing.T, r *Registry, base table.Config, axes table.Axes) table.Config {
-	t.Helper()
-	baseKey, err := table.CacheKey(base, axes)
-	if err != nil {
-		t.Fatal(err)
+// otherConfig returns a config with a different content address from
+// base's and the same sweep size.
+func otherConfig(base table.Config) table.Config {
+	return configAtFrequency(base.Frequency * 1.01)
+}
+
+// MaxSets is the registry's resident bound, exactly: acquiring and
+// releasing N+2 distinct keys at MaxSets N leaves N resident, and the
+// two evicted are the two least recently used.
+func TestRegistryMaxSetsIsExact(t *testing.T) {
+	const n = 3
+	ctx, axes := context.Background(), testAxes()
+	r := NewRegistry(RegistryOptions{MaxSets: n})
+	cfgs := make([]table.Config, n+2)
+	for i := range cfgs {
+		cfgs[i] = configAtFrequency(3.2e9 * (1 + float64(i)/10))
 	}
-	for f := base.Frequency * 1.01; ; f *= 1.01 {
-		cfg := configAtFrequency(f)
-		key, err := table.CacheKey(cfg, axes)
+	acquire := func(cfg table.Config) {
+		t.Helper()
+		_, rel, err := r.Acquire(ctx, cfg, axes)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if r.shard(key) == r.shard(baseKey) {
-			return cfg
-		}
+		rel()
+	}
+	evicts0 := regEvicts.Value()
+	for _, cfg := range cfgs {
+		acquire(cfg)
+	}
+	if got := r.Len(); got != n {
+		t.Fatalf("Len = %d after %d distinct keys at MaxSets %d, want %d", got, len(cfgs), n, n)
+	}
+	if d := regEvicts.Value() - evicts0; d != 2 {
+		t.Errorf("evictions = %d, want 2", d)
+	}
+	// The newest n are resident: acquiring them misses nothing.
+	misses0 := regMisses.Value()
+	for _, cfg := range cfgs[2:] {
+		acquire(cfg)
+	}
+	if d := regMisses.Value() - misses0; d != 0 {
+		t.Errorf("the %d newest keys missed %d times, want 0", n, d)
+	}
+	// The two oldest were evicted: each misses again.
+	for _, cfg := range cfgs[:2] {
+		acquire(cfg)
+	}
+	if d := regMisses.Value() - misses0; d != 2 {
+		t.Errorf("the two oldest keys missed %d times, want 2", d)
+	}
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -170,20 +205,20 @@ func TestRegistryEvictionRespectsRefcounts(t *testing.T) {
 	cfgA, axes := testTableConfig(), testAxes()
 
 	// Warm the cache so registry fills arrive as mmapped loads.
-	warm, err := cache.GetOrBuildCtx(ctx, cfgA, axes, nil)
+	warm, err := cache.GetOrBuildCtx(ctx, cfgA, axes)
 	if err != nil {
 		t.Fatal(err)
 	}
 	_ = warm
 
-	r := NewRegistry(RegistryOptions{Cache: cache, MaxSets: 1}) // perShard = 1
-	cfgB := sameShardConfig(t, r, cfgA, axes)
-	if _, err := cache.GetOrBuildCtx(ctx, cfgB, axes, nil); err != nil {
+	r := NewRegistry(RegistryOptions{Cache: cache, MaxSets: 1})
+	cfgB := otherConfig(cfgA)
+	if _, err := cache.GetOrBuildCtx(ctx, cfgB, axes); err != nil {
 		t.Fatal(err)
 	}
 
-	// Unreferenced eviction: acquire A, release, push B into the same
-	// shard. A's mapping must be released immediately.
+	// Unreferenced eviction: acquire A, release, push B into the one
+	// slot. A's mapping must be released immediately.
 	setA, relA, err := r.Acquire(ctx, cfgA, axes)
 	if err != nil {
 		t.Fatal(err)
@@ -250,10 +285,10 @@ func TestRegistryAuditsEveryMapIn(t *testing.T) {
 	}
 	ctx := context.Background()
 	cfgA, axes := testTableConfig(), testAxes()
-	r := NewRegistry(RegistryOptions{Cache: cache, MaxSets: 1}) // perShard = 1
-	cfgB := sameShardConfig(t, r, cfgA, axes)
+	r := NewRegistry(RegistryOptions{Cache: cache, MaxSets: 1})
+	cfgB := otherConfig(cfgA)
 	for _, cfg := range []table.Config{cfgA, cfgB} {
-		warm, err := cache.GetOrBuildCtx(ctx, cfg, axes, nil)
+		warm, err := cache.GetOrBuildCtx(ctx, cfg, axes)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -316,7 +351,7 @@ func TestRegistryMappingCountFlat(t *testing.T) {
 	cfgs := make([]table.Config, 4)
 	for i := range cfgs {
 		cfgs[i] = configAtFrequency(3.2e9 * (1 + float64(i)/10))
-		if _, err := cache.GetOrBuildCtx(ctx, cfgs[i], axes, nil); err != nil {
+		if _, err := cache.GetOrBuildCtx(ctx, cfgs[i], axes); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -341,7 +376,7 @@ func TestRegistryMappingCountFlat(t *testing.T) {
 		cycle()
 	}
 	after := mappingCount(t)
-	// The 4 configs cycle through a 1-per-shard registry: if evicted
+	// The 4 configs cycle through a one-slot registry: if evicted
 	// sets leaked their mappings the count would grow by tens of
 	// mappings; runtime noise is at most a few.
 	if after-before >= cycles {

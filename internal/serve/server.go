@@ -9,6 +9,7 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -63,9 +64,9 @@ type Config struct {
 	// Cache is the content-addressed on-disk cache backing the
 	// registry; nil builds tables in memory only.
 	Cache *table.Cache
-	// MaxSets bounds the registry's resident table sets per shard
-	// (see RegistryOptions.MaxSets; 0 = unbounded); evicted sets
-	// munmap once their last request ends.
+	// MaxSets bounds the registry's resident table sets (see
+	// RegistryOptions.MaxSets; 0 = unbounded); evicted sets munmap
+	// once their last request ends.
 	MaxSets int
 	// Workers bounds each request's extraction fan-out and any table
 	// build's sweep pool (0 = GOMAXPROCS).
@@ -76,8 +77,6 @@ type Config struct {
 	// DefaultLookup is the out-of-range lookup policy applied when a
 	// request does not select one.
 	DefaultLookup table.LookupPolicy
-	// Observer routes the service's spans (nil = process default).
-	Observer *obs.Observer
 
 	// MaxInFlight bounds concurrently admitted extract/batch requests
 	// (0 = unbounded: admission control off).
@@ -105,7 +104,7 @@ type Config struct {
 	now func() time.Time
 }
 
-// Server is the extraction service: request handlers over a sharded
+// Server is the extraction service: request handlers over a
 // refcounted registry of table sets. Create with New, mount Handler
 // on an http.Server, and Close when drained.
 type Server struct {
@@ -133,7 +132,6 @@ func New(cfg Config) (*Server, error) {
 		reg: NewRegistry(RegistryOptions{
 			Cache:           cfg.Cache,
 			MaxSets:         cfg.MaxSets,
-			Observer:        cfg.Observer,
 			BreakerFailures: cfg.BreakerFailures,
 			BreakerCooldown: cfg.BreakerCooldown,
 			Now:             cfg.now,
@@ -207,14 +205,6 @@ func (s *Server) Drain(ctx context.Context) error {
 
 // Close releases the registry's table sets. Call after Drain.
 func (s *Server) Close() error { return s.reg.Close() }
-
-// observer returns the configured observer or the process default.
-func (s *Server) observer() *obs.Observer {
-	if s.cfg.Observer != nil {
-		return s.cfg.Observer
-	}
-	return obs.Default()
-}
 
 // SegmentRequest is one wire segment, in the units the CLIs use
 // (micrometres; the response is SI).
@@ -304,7 +294,7 @@ func (s *Server) instrument(name string, h func(http.ResponseWriter, *http.Reque
 		srvInFlight.Set(float64(srvInFlightN.Add(1)))
 		srvRequests.Inc()
 		t0 := time.Now()
-		ctx, sp := s.observer().StartCtx(r.Context(), "serve."+name)
+		ctx, sp := obs.StartCtx(r.Context(), "serve."+name)
 		sw := &statusWriter{ResponseWriter: w}
 		defer func() {
 			if p := recover(); p != nil {
@@ -459,8 +449,12 @@ func (s *Server) extract(ctx context.Context, req BatchRequest) ([]netlist.Segme
 		return nil, &badRequestError{fmt.Errorf("rise_time_ps %g gives no finite significant frequency", req.RiseTimePs)}
 	}
 
+	// The shieldings the request needs, in order of first appearance,
+	// so its acquires (and the evictions they cause) are the same on
+	// every run.
 	segs := make([]core.Segment, len(req.Segments))
-	needed := map[geom.Shielding]bool{}
+	var shBuf [3]geom.Shielding
+	needed := shBuf[:0]
 	for i, sr := range req.Segments {
 		sh, err := parseShielding(sr.Shielding)
 		if err != nil {
@@ -476,14 +470,16 @@ func (s *Server) extract(ctx context.Context, req BatchRequest) ([]netlist.Segme
 		if err := segs[i].Validate(); err != nil {
 			return nil, &badRequestError{fmt.Errorf("segment %d: %w", i, err)}
 		}
-		needed[sh] = true
+		if !slices.Contains(needed, sh) {
+			needed = append(needed, sh)
+		}
 	}
 
 	// Pin every needed set for the request's lifetime. The sets are
 	// shared across requests; the per-request lookup policy rides a
 	// shallow header copy, never a write to the shared set.
 	var sets []*table.Set
-	for sh := range needed {
+	for _, sh := range needed {
 		set, release, err := s.reg.Acquire(ctx, s.tableConfig(sh, freq), s.cfg.Axes)
 		if err != nil {
 			return nil, err
@@ -495,7 +491,7 @@ func (s *Server) extract(ctx context.Context, req BatchRequest) ([]netlist.Segme
 	if err != nil {
 		return nil, err
 	}
-	ext.Configure(core.WithChecks(checkPolicy), core.WithObserver(s.cfg.Observer))
+	ext.Configure(core.WithChecks(checkPolicy))
 
 	// The vectorized batch path: one spline contraction pass per
 	// shielding group, repeated geometries deduped.

@@ -5,8 +5,10 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -14,6 +16,7 @@ import (
 	"clockrlc/internal/check"
 	"clockrlc/internal/core"
 	"clockrlc/internal/fault"
+	"clockrlc/internal/obs"
 	"clockrlc/internal/table"
 	"clockrlc/internal/units"
 )
@@ -102,7 +105,7 @@ func TestBatchMatchesInProcessExtraction(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		set, err := table.BuildCtx(context.Background(), s.tableConfig(shv, freq), s.cfg.Axes, nil)
+		set, err := table.BuildCtx(context.Background(), s.tableConfig(shv, freq), s.cfg.Axes)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -428,5 +431,133 @@ func TestDrainWaitsForInFlight(t *testing.T) {
 	}
 	if n := srvInFlightN.Load(); n != 0 {
 		t.Errorf("inflight = %d after drain", n)
+	}
+}
+
+// A request acquires its table sets in order of first appearance, so
+// a fixed request sequence makes the same registry misses on every
+// run: exactly those of one least-recently-used order over its
+// acquires, at an odd bound where the order decides each eviction.
+func TestRequestAcquireOrderIsFixed(t *testing.T) {
+	const maxSets = 3
+	shieldings := []string{"coplanar", "microstrip", "stripline"}
+	rises := []float64{40, 70}
+	rng := rand.New(rand.NewPCG(23, 1))
+	var reqs []BatchRequest
+	for range 200 {
+		req := BatchRequest{RiseTimePs: rises[rng.IntN(len(rises))]}
+		for range 2 + rng.IntN(3) {
+			req.Segments = append(req.Segments, SegmentRequest{
+				LengthUm: 500, SignalWidthUm: 2, GroundWidthUm: 2, SpacingUm: 1.5,
+				Shielding: shieldings[rng.IntN(len(shieldings))],
+			})
+		}
+		reqs = append(reqs, req)
+	}
+
+	type key struct {
+		sh   string
+		rise float64
+	}
+	var lru []key // least recently used first
+	want := int64(0)
+	for _, req := range reqs {
+		var seen []string
+		for _, sr := range req.Segments {
+			if slices.Contains(seen, sr.Shielding) {
+				continue
+			}
+			seen = append(seen, sr.Shielding)
+			k := key{sr.Shielding, req.RiseTimePs}
+			if i := slices.Index(lru, k); i >= 0 {
+				lru = slices.Delete(lru, i, i+1)
+			} else {
+				want++
+			}
+			lru = append(lru, k)
+			if len(lru) > maxSets {
+				lru = lru[1:]
+			}
+		}
+	}
+
+	cache, err := table.NewCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for run := range 2 {
+		s, err := New(Config{Tech: testTech(), Axes: testAxes(), Cache: cache, MaxSets: maxSets, DefaultCheck: check.Warn})
+		if err != nil {
+			t.Fatal(err)
+		}
+		misses0 := regMisses.Value()
+		for i, req := range reqs {
+			b, err := json.Marshal(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec := httptest.NewRecorder()
+			s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/batch", bytes.NewReader(b)))
+			if rec.Code != http.StatusOK {
+				t.Fatalf("run %d request %d: status %d: %s", run, i, rec.Code, rec.Body.Bytes())
+			}
+		}
+		if got := regMisses.Value() - misses0; got != want {
+			t.Errorf("run %d: %d registry misses, want %d from the LRU model", run, got, want)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// One cold /v1/batch request traces as one tree on the process
+// observer: the serve.batch span is the only root, and the registry
+// fill (table.cache, table.build) and the extraction (core.batch,
+// table.lookup) all sit beneath it.
+func TestBatchRequestTraceIsOneTree(t *testing.T) {
+	cache, err := table.NewCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(Config{Tech: testTech(), Axes: testAxes(), Cache: cache, DefaultCheck: check.Warn})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	body, err := json.Marshal(BatchRequest{RiseTimePs: 50, Segments: testSegments()})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	mem := &obs.MemorySink{}
+	obs.Default().AddSink(mem)
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/batch", bytes.NewReader(body)))
+	obs.Default().RemoveSink(mem)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("status %d: %s", rec.Code, rec.Body.Bytes())
+	}
+
+	tr := obs.BuildTrace(mem.Events())
+	if len(tr.Orphans) != 0 || len(tr.Unended) != 0 {
+		t.Fatalf("%d orphaned and %d unended spans, want none", len(tr.Orphans), len(tr.Unended))
+	}
+	if len(tr.Roots) != 1 || tr.Roots[0].Name != "serve.batch" {
+		var names []string
+		for _, r := range tr.Roots {
+			names = append(names, r.Name)
+		}
+		t.Fatalf("roots %v, want one serve.batch", names)
+	}
+	// One root and no orphans: every span descends from serve.batch.
+	counts := map[string]int{}
+	for _, sp := range tr.Spans {
+		counts[sp.Name]++
+	}
+	for _, name := range []string{"table.cache", "table.build", "core.batch", "table.lookup"} {
+		if counts[name] == 0 {
+			t.Errorf("no %s span beneath serve.batch (spans: %v)", name, counts)
+		}
 	}
 }

@@ -278,10 +278,10 @@ func (c *Cache) PutCtx(ctx context.Context, s *Set) error {
 
 // GetOrBuild returns the cached set for (cfg, axes) when present —
 // zero field-solver calls, lookups bit-identical to a cold build —
-// and otherwise builds it (tracing to o, nil selects the default
-// observer) and writes it back for every extraction after this one.
-func (c *Cache) GetOrBuild(cfg Config, axes Axes, o *obs.Observer) (*Set, error) {
-	return c.GetOrBuildCtx(context.Background(), cfg, axes, o)
+// and otherwise builds it and writes it back for every extraction
+// after this one.
+func (c *Cache) GetOrBuild(cfg Config, axes Axes) (*Set, error) {
+	return c.GetOrBuildCtx(context.Background(), cfg, axes)
 }
 
 // GetOrBuildCtx is GetOrBuild honouring cancellation end to end: the
@@ -299,11 +299,8 @@ func (c *Cache) GetOrBuild(cfg Config, axes Axes, o *obs.Observer) (*Set, error)
 // caller is not the waiters' failure, so an uncancelled waiter
 // retries (and typically becomes the next leader). Waiters honour
 // their own ctx while parked.
-func (c *Cache) GetOrBuildCtx(ctx context.Context, cfg Config, axes Axes, o *obs.Observer) (*Set, error) {
-	if o == nil {
-		o = obs.Default()
-	}
-	ctx, sp := o.StartCtx(ctx, "table.cache")
+func (c *Cache) GetOrBuildCtx(ctx context.Context, cfg Config, axes Axes) (*Set, error) {
+	ctx, sp := obs.StartCtx(ctx, "table.cache")
 	sp.SetAttr("name", cfg.Name)
 	defer sp.End()
 	// The content address doubles as the flight key and is recorded on
@@ -351,7 +348,7 @@ func (c *Cache) GetOrBuildCtx(ctx context.Context, cfg Config, axes Axes, o *obs
 		c.flights[key] = f
 		c.mu.Unlock()
 		sp.SetAttr("outcome", "miss")
-		f.set, f.err = c.buildAndPut(ctx, cfg, axes, o, sp)
+		f.set, f.err = c.buildAndPut(ctx, cfg, axes, sp)
 		c.mu.Lock()
 		delete(c.flights, key)
 		c.mu.Unlock()
@@ -362,8 +359,8 @@ func (c *Cache) GetOrBuildCtx(ctx context.Context, cfg Config, axes Axes, o *obs
 
 // buildAndPut is the miss path: run the sweep, write the result back
 // (degrading — not failing — on a persistent write error).
-func (c *Cache) buildAndPut(ctx context.Context, cfg Config, axes Axes, o *obs.Observer, sp obs.Span) (*Set, error) {
-	s, err := BuildCtx(ctx, cfg, axes, o)
+func (c *Cache) buildAndPut(ctx context.Context, cfg Config, axes Axes, sp obs.Span) (*Set, error) {
+	s, err := BuildCtx(ctx, cfg, axes)
 	if err != nil {
 		return nil, err
 	}

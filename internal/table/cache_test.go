@@ -80,14 +80,14 @@ func TestCacheHitZeroSolverCallsBitIdentical(t *testing.T) {
 	}
 	cfg, axes := freeConfig(), tinyAxes()
 
-	cold, err := c.GetOrBuild(cfg, axes, nil)
+	cold, err := c.GetOrBuild(cfg, axes)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	solves0 := tableSolves.Value()
 	hits0, _, _, _ := CacheStats()
-	warm, err := c.GetOrBuild(cfg, axes, nil)
+	warm, err := c.GetOrBuild(cfg, axes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestCacheHitAppliesCallerName(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg, axes := freeConfig(), tinyAxes()
-	if _, err := c.GetOrBuild(cfg, axes, nil); err != nil {
+	if _, err := c.GetOrBuild(cfg, axes); err != nil {
 		t.Fatal(err)
 	}
 	other := cfg
@@ -159,7 +159,7 @@ func TestCacheCorruptEntryIsMissAndHeals(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg, axes := freeConfig(), tinyAxes()
-	if _, err := c.GetOrBuild(cfg, axes, nil); err != nil {
+	if _, err := c.GetOrBuild(cfg, axes); err != nil {
 		t.Fatal(err)
 	}
 	key, err := CacheKey(cfg, axes)
@@ -182,7 +182,7 @@ func TestCacheCorruptEntryIsMissAndHeals(t *testing.T) {
 		t.Errorf("cache_corrupt += %d, want 1", corrupt-corrupt0)
 	}
 	// GetOrBuild heals the entry; the next Get is a clean hit again.
-	if _, err := c.GetOrBuild(cfg, axes, nil); err != nil {
+	if _, err := c.GetOrBuild(cfg, axes); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok, err := c.Get(cfg, axes); err != nil || !ok {
@@ -199,7 +199,7 @@ func TestCacheRejectsMisfiledEntry(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg, axes := freeConfig(), tinyAxes()
-	if _, err := c.GetOrBuild(cfg, axes, nil); err != nil {
+	if _, err := c.GetOrBuild(cfg, axes); err != nil {
 		t.Fatal(err)
 	}
 	key, err := CacheKey(cfg, axes)
@@ -252,7 +252,7 @@ func BenchmarkCacheOpen(b *testing.B) {
 		b.Fatal(err)
 	}
 	ctx, cfg, axes := context.Background(), freeConfig(), DefaultAxes()
-	s, err := c.GetOrBuildCtx(ctx, cfg, axes, nil)
+	s, err := c.GetOrBuildCtx(ctx, cfg, axes)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -264,7 +264,7 @@ func BenchmarkCacheOpen(b *testing.B) {
 			check.SetPolicy(p)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				s, err := c.GetOrBuildCtx(ctx, cfg, axes, nil)
+				s, err := c.GetOrBuildCtx(ctx, cfg, axes)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -19,7 +19,7 @@ func TestCacheEntryIsV3Mapped(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg, axes := freeConfig(), tinyAxes()
-	if _, err := c.GetOrBuild(cfg, axes, nil); err != nil {
+	if _, err := c.GetOrBuild(cfg, axes); err != nil {
 		t.Fatal(err)
 	}
 	key, err := CacheKey(cfg, axes)
@@ -58,7 +58,7 @@ func TestCacheStrictAuditViolationPropagates(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg, axes := freeConfig(), tinyAxes()
-	built, err := c.GetOrBuild(cfg, axes, nil)
+	built, err := c.GetOrBuild(cfg, axes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestCacheStrictAuditViolationPropagates(t *testing.T) {
 	}
 
 	// GetOrBuild must fail too — not silently rebuild past the policy.
-	if _, err := c.GetOrBuild(cfg, axes, nil); !errors.Is(err, check.ErrViolation) {
+	if _, err := c.GetOrBuild(cfg, axes); !errors.Is(err, check.ErrViolation) {
 		t.Errorf("GetOrBuild under strict policy: got %v, want ErrViolation", err)
 	}
 
@@ -126,8 +126,10 @@ func TestCacheSpanRecordsKey(t *testing.T) {
 	}
 	for _, wantOutcome := range []string{"miss", "hit"} {
 		sink := &obs.MemorySink{}
-		o := obs.New(sink)
-		if _, err := c.GetOrBuild(cfg, axes, o); err != nil {
+		obs.Default().AddSink(sink)
+		_, err := c.GetOrBuild(cfg, axes)
+		obs.Default().RemoveSink(sink)
+		if err != nil {
 			t.Fatal(err)
 		}
 		found := false

@@ -186,7 +186,7 @@ func TestBuildCancellationIsPromptAndLeakFree(t *testing.T) {
 		cancel()
 	}()
 	t0 := time.Now()
-	_, err := BuildCtx(ctx, cfg, axes, nil)
+	_, err := BuildCtx(ctx, cfg, axes)
 	took := time.Since(t0)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
@@ -215,7 +215,7 @@ func TestCacheGracefulDegradation(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Prime the cache, then corrupt the stored entry in place.
-	clean, err := cache.GetOrBuild(cfg, axes, nil)
+	clean, err := cache.GetOrBuild(cfg, axes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +237,7 @@ func TestCacheGracefulDegradation(t *testing.T) {
 		Nth: 1, Transient: true, Times: 1,
 	}))
 	defer fault.Reset()
-	rebuilt, err := cache.GetOrBuild(cfg, axes, nil)
+	rebuilt, err := cache.GetOrBuild(cfg, axes)
 	if err != nil {
 		t.Fatalf("degraded read must rebuild, not fail: %v", err)
 	}
@@ -268,7 +268,7 @@ func TestCacheWriteFailureDegradesToUnpersistedSet(t *testing.T) {
 		Prob: 1, Transient: true,
 	}))
 	defer fault.Reset()
-	set, err := cache.GetOrBuild(cfg, axes, nil)
+	set, err := cache.GetOrBuild(cfg, axes)
 	if err != nil {
 		t.Fatalf("write-back failure must not fail the extraction: %v", err)
 	}
@@ -289,7 +289,7 @@ func TestGetOrBuildCtxHonoursPreCancelledContext(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := cache.GetOrBuildCtx(ctx, cfg, axes, nil); !errors.Is(err, context.Canceled) {
+	if _, err := cache.GetOrBuildCtx(ctx, cfg, axes); !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
 }

@@ -53,7 +53,7 @@ func TestGetOrBuildCtxSingleFlight(t *testing.T) {
 			<-start
 			mine := cfg
 			mine.Name = fmt.Sprintf("caller/%d", i)
-			sets[i], errs[i] = c.GetOrBuildCtx(context.Background(), mine, axes, nil)
+			sets[i], errs[i] = c.GetOrBuildCtx(context.Background(), mine, axes)
 		}(i)
 	}
 	close(start)
@@ -113,13 +113,13 @@ func TestGetOrBuildCtxWaiterSurvivesLeaderCancel(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		close(leaderStarted)
-		_, leaderErr = c.GetOrBuildCtx(leaderCtx, cfg, axes, nil)
+		_, leaderErr = c.GetOrBuildCtx(leaderCtx, cfg, axes)
 	}()
 	<-leaderStarted
 	time.Sleep(5 * time.Millisecond) // let the leader enter its sweep
 	cancelLeader()
 
-	s, err := c.GetOrBuildCtx(context.Background(), cfg, axes, nil)
+	s, err := c.GetOrBuildCtx(context.Background(), cfg, axes)
 	if err != nil {
 		t.Fatalf("waiter failed after leader cancel: %v", err)
 	}
@@ -148,7 +148,7 @@ func TestGetCtxConcurrentDistinctNames(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg, axes := freeConfig(), tinyAxes()
-	if _, err := c.GetOrBuild(cfg, axes, nil); err != nil {
+	if _, err := c.GetOrBuild(cfg, axes); err != nil {
 		t.Fatal(err)
 	}
 

@@ -284,18 +284,9 @@ type Set struct {
 // entries from 2-trace solves, each with the configuration's plane(s)
 // when shielded. The sweep runs on a bounded worker pool
 // (cfg.Workers, default GOMAXPROCS); entries are written by index, so
-// the result is bit-for-bit identical to a serial build. Tracing goes
-// to the default observer; use BuildObserved to direct it elsewhere.
+// the result is bit-for-bit identical to a serial build.
 func Build(cfg Config, axes Axes) (*Set, error) {
-	return BuildCtx(context.Background(), cfg, axes, nil)
-}
-
-// BuildObserved is Build tracing to the given observer (nil selects
-// the default observer). The build span is touched only from the
-// calling goroutine; workers contribute solely through the atomic
-// metrics counters.
-func BuildObserved(cfg Config, axes Axes, o *obs.Observer) (*Set, error) {
-	return BuildCtx(context.Background(), cfg, axes, o)
+	return BuildCtx(context.Background(), cfg, axes)
 }
 
 // solverRetry re-attempts transient field-solver failures (per
@@ -314,7 +305,7 @@ var solverRetry = fault.Policy{
 // worker (no goroutine survives the return) and yields ctx.Err().
 // Transient solver failures are retried per solverRetry; a panicking
 // sweep cell surfaces as a *CellPanic carrying its cell index.
-func BuildCtx(ctx context.Context, cfg Config, axes Axes, o *obs.Observer) (*Set, error) {
+func BuildCtx(ctx context.Context, cfg Config, axes Axes) (*Set, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -325,18 +316,14 @@ func BuildCtx(ctx context.Context, cfg Config, axes Axes, o *obs.Observer) (*Set
 	if err := axes.Validate(); err != nil {
 		return nil, err
 	}
-	if o == nil {
-		o = obs.Default()
-	}
 	workers := cfg.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	// The build span rides the context: every worker's per-cell span
 	// parents under it explicitly (obs.StartCtx), so a parallel build's
-	// trace reconstructs exactly at any worker count instead of
-	// interleaving on the observer's shared stack.
-	ctx, sp := o.StartCtx(ctx, "table.build")
+	// trace reconstructs exactly at any worker count.
+	ctx, sp := obs.StartCtx(ctx, "table.build")
 	sp.SetAttr("name", cfg.Name)
 	sp.SetAttr("workers", workers)
 	defer sp.End()
@@ -353,7 +340,7 @@ func BuildCtx(ctx context.Context, cfg Config, axes Axes, o *obs.Observer) (*Set
 	selfVals := make([]float64, nw*nl)
 	err := ParallelForCtx(ctx, len(selfVals), workers, func(k int) error {
 		w, l := axes.Widths[k/nl], axes.Lengths[k%nl]
-		_, csp := o.StartCtx(ctx, "table.self_cell")
+		_, csp := obs.StartCtx(ctx, "table.self_cell")
 		csp.SetAttr("cell", k)
 		defer csp.End()
 		return solverRetry.Do(ctx, "table.self", func() error {
@@ -395,7 +382,7 @@ func BuildCtx(ctx context.Context, cfg Config, axes Axes, o *obs.Observer) (*Set
 	mutVals := make([]float64, nw*nw*ns*nl)
 	err = ParallelForCtx(ctx, len(jobs), workers, func(k int) error {
 		jb := jobs[k]
-		_, csp := o.StartCtx(ctx, "table.mutual_cell")
+		_, csp := obs.StartCtx(ctx, "table.mutual_cell")
 		csp.SetAttr("cell", k)
 		defer csp.End()
 		return solverRetry.Do(ctx, "table.mutual", func() error {

@@ -27,7 +27,8 @@ func TestParallelBuildTraceParenting(t *testing.T) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			sink := &obs.MemorySink{}
-			o := obs.New(sink)
+			obs.Default().AddSink(sink)
+			defer obs.Default().RemoveSink(sink)
 			cfg := Config{
 				Name:      fmt.Sprintf("trace-race-%d", workers),
 				Thickness: units.Um(2),
@@ -36,7 +37,7 @@ func TestParallelBuildTraceParenting(t *testing.T) {
 				Frequency: 5e9,
 				Workers:   workers,
 			}
-			if _, err := BuildCtx(context.Background(), cfg, axes, o); err != nil {
+			if _, err := BuildCtx(context.Background(), cfg, axes); err != nil {
 				t.Fatal(err)
 			}
 			tr := obs.BuildTrace(sink.Events())
