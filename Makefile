@@ -85,8 +85,8 @@ bench-sim:
 	$(GO) test -run '^$$' -bench 'Transient|Crossings|Factor' -benchmem ./internal/sim ./internal/linalg
 
 # bench-table is the table-layer microbenchmark: the full post-load
-# audit of a default-axes set, and one cache map-in (a GetOrBuildCtx
-# hit plus Close) with checks off and at warn, with allocation counts.
+# audit of a default-axes set, and one warm cache open (a GetOrBuildCtx
+# hit) with checks off and at warn, with allocation counts.
 bench-table:
 	$(GO) test -run '^$$' -bench 'Audit|CacheOpen' -benchmem ./internal/table
 

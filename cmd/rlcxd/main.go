@@ -1,7 +1,7 @@
 // Command rlcxd serves clocktree RLC extraction over HTTP/JSON: a
-// resident daemon holding mmapped table sets in a refcounted registry
-// over the content-addressed cache, so a CTS flow extracts thousands
-// of nets against tables that are built (or mapped) once.
+// resident daemon holding table sets in a bounded LRU registry over
+// the content-addressed cache, so a CTS flow extracts thousands of
+// nets against tables that are built (or read) once.
 //
 // Endpoints: POST /v1/extract (one segment), POST /v1/batch (a batch
 // at one rise time), GET /healthz, GET /metrics (Prometheus text),
@@ -21,10 +21,9 @@
 //
 // SIGINT/SIGTERM drain gracefully: readiness flips first (/healthz
 // answers 503 for -drain-grace so load balancers stop routing), the
-// listener closes, in-flight requests finish (bounded by -drain),
-// table mappings are released, and the process exits 130/143 so
-// supervisors can tell a stop from a crash. A second signal exits
-// immediately.
+// listener closes, in-flight requests finish (bounded by -drain), and
+// the process exits 130/143 so supervisors can tell a stop from a
+// crash. A second signal exits immediately.
 package main
 
 import (
@@ -156,15 +155,18 @@ func run(ctx context.Context, o options) error {
 	// The line scripts parse for the bound port — keep the format.
 	fmt.Printf("rlcxd: listening on %s\n", ln.Addr())
 
-	// Requests deliberately do NOT inherit the shutdown context: the
-	// first signal stops accepting but lets in-flight extractions
+	// Requests deliberately do NOT inherit the shutdown cancellation:
+	// the first signal stops accepting but lets in-flight extractions
 	// finish inside the drain budget. The second-signal hard exit in
-	// cliobs remains the escape hatch. The read/write/idle timeouts
-	// bound what a slow or stalled client can hold open (slowloris);
-	// the write timeout is generous because it covers the handler —
-	// a cold build plus a 20k-segment response must fit inside it.
+	// cliobs remains the escape hatch. BaseContext keeps ctx's values
+	// only, so every request span joins the session's trace tree. The
+	// read/write/idle timeouts bound what a slow or stalled client can
+	// hold open (slowloris); the write timeout is generous because it
+	// covers the handler — a cold build plus a 20k-segment response
+	// must fit inside it.
 	srv := &http.Server{
 		Handler:           s.Handler(),
+		BaseContext:       func(net.Listener) context.Context { return context.WithoutCancel(ctx) },
 		ReadHeaderTimeout: 10 * time.Second,
 		ReadTimeout:       2 * time.Minute,
 		WriteTimeout:      10 * time.Minute,

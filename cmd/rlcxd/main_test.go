@@ -16,6 +16,8 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"clockrlc/internal/obs"
 )
 
 var (
@@ -168,6 +170,53 @@ func TestSignalExitCodes(t *testing.T) {
 		if code := d.wait(t, 30*time.Second); code != want {
 			t.Errorf("%v: exit code %d, want %d; stderr: %s", sig, code, want, d.errB)
 		}
+	}
+}
+
+// A traced daemon's request spans join its trace tree: the trace has
+// one root, the rlcxd session span, and the batch request's span is
+// its child.
+func TestRequestSpansJoinTheSessionTrace(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "rlcxd.jsonl")
+	d := startDaemon(t, "-trace", path)
+	if status, body := d.post(t, smallBatch(1)); status != http.StatusOK {
+		t.Fatalf("batch: status %d: %s", status, body)
+	}
+	if err := d.cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	if code := d.wait(t, 30*time.Second); code != 143 {
+		t.Fatalf("exit code %d, want 143; stderr: %s", code, d.errB)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	events, err := obs.ReadTrace(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := obs.BuildTrace(events)
+	var roots []string
+	for _, r := range tr.Roots {
+		roots = append(roots, r.Name)
+	}
+	if len(roots) != 1 || roots[0] != "rlcxd" {
+		t.Fatalf("trace roots %v, want exactly [rlcxd]", roots)
+	}
+	batches := 0
+	for _, sp := range tr.Spans {
+		if sp.Name != "serve.batch" {
+			continue
+		}
+		batches++
+		if sp.Parent != tr.Roots[0].ID {
+			t.Errorf("serve.batch span %d has parent %d, want the rlcxd root %d", sp.ID, sp.Parent, tr.Roots[0].ID)
+		}
+	}
+	if batches != 1 {
+		t.Errorf("trace holds %d serve.batch spans, want 1", batches)
 	}
 }
 

@@ -1,7 +1,7 @@
 // Command tablegen precomputes an inductance table set (Section III of
 // the paper) for a layer and shielding configuration and writes it for
 // later use by rlcx/treesim or the library, in the v3 binary codec,
-// which LoadFile mmaps instead of parsing.
+// which LoadFile reads into place instead of parsing.
 //
 // Example:
 //
@@ -120,7 +120,6 @@ func migrate(src, dst string) error {
 		if err != nil {
 			return err
 		}
-		defer lib.Close()
 		if err := lib.SaveDir(dst); err != nil {
 			return err
 		}
@@ -131,7 +130,6 @@ func migrate(src, dst string) error {
 	if err != nil {
 		return err
 	}
-	defer s.Close()
 	if err := s.SaveFile(dst); err != nil {
 		return err
 	}

@@ -192,7 +192,6 @@ func TestMigrateFileBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer got.Close()
 	sameValues(t, orig, got)
 }
 
@@ -217,7 +216,6 @@ func TestMigrateDir(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer migrated.Close()
 	got, err := migrated.Get("m6/coplanar")
 	if err != nil {
 		t.Fatal(err)
@@ -243,11 +241,9 @@ func TestMigrateRefusesSameDir(t *testing.T) {
 	if len(entries) != 1 {
 		t.Errorf("the refused migrate wrote into the source: %v", entries)
 	}
-	lib, err := table.LoadDir(dir)
-	if err != nil {
+	if _, err := table.LoadDir(dir); err != nil {
 		t.Fatalf("the source library no longer loads: %v", err)
 	}
-	lib.Close()
 }
 
 // copyFixture makes dir a one-set library holding the v2 fixture.

@@ -24,6 +24,6 @@ func NewDebugMux() *http.ServeMux {
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	mux.Handle("/debug/vars", expvar.Handler())
-	mux.Handle("/metrics", obs.MetricsHandler(nil))
+	mux.Handle("/metrics", obs.MetricsHandler())
 	return mux
 }

@@ -42,8 +42,8 @@ func IsTransient(err error) bool {
 }
 
 // Policy is a capped exponential-backoff retry schedule with
-// deterministic jitter. The zero value retries nothing; use
-// DefaultPolicy (or a literal) for real work.
+// deterministic jitter. The zero value retries nothing; give real work
+// a literal.
 type Policy struct {
 	// Attempts is the total attempt budget including the first try.
 	Attempts int
@@ -52,20 +52,9 @@ type Policy struct {
 	Base, Max time.Duration
 	Factor    float64
 	// Jitter spreads each backoff uniformly over ±Jitter·backoff,
-	// decided deterministically from Seed and the attempt index so
-	// chaos runs replay exactly.
+	// decided deterministically from the operation name and the
+	// attempt index so chaos runs replay exactly.
 	Jitter float64
-	Seed   int64
-}
-
-// DefaultPolicy suits in-process transient failures: three attempts,
-// millisecond-scale backoff, half-width jitter.
-var DefaultPolicy = Policy{
-	Attempts: 3,
-	Base:     time.Millisecond,
-	Max:      100 * time.Millisecond,
-	Factor:   4,
-	Jitter:   0.5,
 }
 
 // Do runs fn until it succeeds, fails terminally, exhausts the
@@ -96,7 +85,7 @@ func (p Policy) Do(ctx context.Context, op string, fn func() error) error {
 		retryAttempts.Inc()
 		d := backoff
 		if p.Jitter > 0 {
-			u := unit(p.Seed, Point(op), uint64(attempt))
+			u := unit(0, Point(op), uint64(attempt))
 			d = time.Duration(float64(d) * (1 - p.Jitter + 2*p.Jitter*u))
 		}
 		if d > 0 {

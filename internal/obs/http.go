@@ -2,20 +2,14 @@ package obs
 
 import "net/http"
 
-// MetricsHandler serves a registry's live snapshot in Prometheus text
-// exposition format — mount it at /metrics on any HTTP server. nil
-// selects the default registry. The snapshot is taken per request, so
-// a scrape always sees current counter values.
-func MetricsHandler(r *Registry) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		reg := r
-		if reg == nil {
-			reg = DefaultRegistry()
-		}
+// MetricsHandler serves the default registry's live snapshot in
+// Prometheus text exposition format — mount it at /metrics on any HTTP
+// server. The snapshot is taken per request, so a scrape always sees
+// current counter values.
+func MetricsHandler() http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		if err := reg.Snapshot().WriteText(w); err != nil {
-			// The header is already out; nothing useful to do but stop.
-			return
-		}
+		// A write error comes after the header is out: nothing to report.
+		_ = DefaultRegistry().Snapshot().WriteText(w)
 	})
 }

@@ -1,18 +1,14 @@
 // Package serve is the extraction daemon's in-process layer: a
-// refcounted registry of table sets over the
-// content-addressed cache, and the HTTP/JSON server that drives
-// core's batch extraction through it. One resident process amortises
-// the mmap/open cost of a table library across every request — the
-// way a CTS flow drives extraction as a service rather than forking a
-// CLI per net — while the registry's lifecycle discipline (acquire /
-// release / munmap-on-evict) keeps the daemon's mapping count bounded
-// where the one-shot CLIs could afford to leak until exit.
+// bounded LRU registry of table sets over the content-addressed cache,
+// and the HTTP/JSON server that drives core's batch extraction through
+// it. One resident process amortises the open cost of a table library
+// across every request — the way a CTS flow drives extraction as a
+// service rather than forking a CLI per net.
 package serve
 
 import (
 	"context"
 	"errors"
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -23,8 +19,8 @@ import (
 )
 
 // Registry accounting: hits serve an already-resident set, misses
-// fill from the cache (or a build), evictions count sets pushed out
-// by the capacity bound, and open_sets gauges the resident count.
+// fill from the cache (or a build), evictions count entries pushed out
+// by the capacity bound, and open_sets gauges the resident entries.
 // breaker_open counts circuit trips (closed/half-open → open),
 // breaker_probes counts half-open probe fills admitted, and
 // breaker_rejected counts acquires short-circuited by an open
@@ -39,19 +35,19 @@ var (
 	regBkRejected = obs.GetCounter("serve.breaker_rejected")
 )
 
-// openSets backs the open_sets gauge (obs gauges are set-only).
+// openSets backs the open_sets gauge (obs gauges are set-only); it
+// sums every registry's entries.
 var openSets atomic.Int64
 
 func openSetsAdd(d int64) { regOpen.Set(float64(openSets.Add(d))) }
 
 // Registry is an in-memory layer over the content-addressed table
-// cache. Entries are keyed by table.CacheKey and refcounted: Acquire
-// pins a set, the returned release unpins it, and an evicted set is
-// closed (its mapping released) only when the last holder releases —
-// so an in-flight request can never have its spline coefficients
-// unmapped underneath it. One mutex guards the entries, their
-// least-recently-used order and the breakers; an acquire holds it for
-// a map lookup and a refcount.
+// cache. Entries are keyed by table.CacheKey; a miss past the capacity
+// bound deletes the least recently used entry. A table set is
+// immutable heap memory, so a request that holds an evicted set keeps
+// using it and the garbage collector reclaims it after the last one.
+// One mutex guards the entries, their least-recently-used order and
+// the breakers; an acquire holds it for a map lookup.
 type Registry struct {
 	cache   *table.Cache
 	maxSets int // max resident entries; 0 = unbounded
@@ -69,17 +65,12 @@ type Registry struct {
 }
 
 // regEntry is one resident (or filling) table set. ready is closed
-// when fill completes; set/err are immutable afterwards. refs counts
-// holders: the map itself holds no reference — eviction removes the
-// entry from the map, marks it evicted, and the last release closes
-// the set.
+// when fill completes; set/err are immutable afterwards.
 type regEntry struct {
 	key     string
 	ready   chan struct{}
 	set     *table.Set
 	err     error
-	refs    int
-	evicted bool
 	lastUse int64
 }
 
@@ -125,9 +116,8 @@ func NewRegistry(opts RegistryOptions) *Registry {
 // Acquire returns the resident set for (cfg, axes), filling it from
 // the cache (single-flighted there, and deduplicated again here so
 // one registry never issues two concurrent fills of one key) on first
-// use. The returned release must be called exactly once when the
-// request is done with the set; it is safe to call from any
-// goroutine, and calling it again is a no-op.
+// use. The set stays valid for as long as the caller holds it, evicted
+// or not. The second result is noRelease: nothing needs giving back.
 func (r *Registry) Acquire(ctx context.Context, cfg table.Config, axes table.Axes) (*table.Set, func(), error) {
 	key, err := table.CacheKey(cfg, axes)
 	if err != nil {
@@ -136,26 +126,23 @@ func (r *Registry) Acquire(ctx context.Context, cfg table.Config, axes table.Axe
 
 	r.mu.Lock()
 	if e, ok := r.entries[key]; ok {
-		e.refs++
 		r.clock++
 		e.lastUse = r.clock
 		r.mu.Unlock()
 		select {
 		case <-e.ready:
 		case <-ctx.Done():
-			r.releaseEntry(e)
 			return nil, nil, ctx.Err()
 		}
 		if e.err != nil {
 			// The filler already removed the failed entry from the map;
-			// drop our reference and record our own observation of the
-			// failure — under coalescing every disappointed waiter
-			// counts, which is what makes the trip deterministic.
-			r.releaseEntry(e)
+			// record our own observation of the failure — under
+			// coalescing every disappointed waiter counts, which is
+			// what makes the trip deterministic.
 			return nil, nil, r.fillFailed(key, e.err, false)
 		}
 		regHits.Inc()
-		return e.set, r.releaseFunc(e), nil
+		return e.set, noRelease, nil
 	}
 
 	// Miss: consult the key's breaker, insert a filling entry, evict
@@ -173,13 +160,11 @@ func (r *Registry) Acquire(ctx context.Context, cfg table.Config, axes table.Axe
 		probe = p
 	}
 	r.clock++
-	e := &regEntry{key: key, ready: make(chan struct{}), refs: 1, lastUse: r.clock}
+	e := &regEntry{key: key, ready: make(chan struct{}), lastUse: r.clock}
 	r.entries[key] = e
-	victims := r.evictOverCapLocked(e)
+	openSetsAdd(1)
+	r.evictOverCapLocked(e)
 	r.mu.Unlock()
-	for _, v := range victims {
-		v.Close()
-	}
 	regMisses.Inc()
 	if probe {
 		regBkProbes.Inc()
@@ -191,18 +176,20 @@ func (r *Registry) Acquire(ctx context.Context, cfg table.Config, axes table.Axe
 		r.mu.Lock()
 		if r.entries[key] == e {
 			delete(r.entries, key)
+			openSetsAdd(-1)
 		}
-		e.evicted = true
 		r.mu.Unlock()
 		close(e.ready)
-		r.releaseEntry(e)
 		return nil, nil, r.fillFailed(key, err, probe)
 	}
 	r.fillSucceeded(key)
-	openSetsAdd(1)
 	close(e.ready)
-	return set, r.releaseFunc(e), nil
+	return set, noRelease, nil
 }
+
+// noRelease is the release Acquire returns. It does nothing: a table
+// set is immutable heap memory, not a resource to hand back.
+func noRelease() {}
 
 // breakerLocked returns the key's breaker, creating it on first use.
 // Caller holds r.mu.
@@ -295,66 +282,24 @@ func (r *Registry) fill(ctx context.Context, cfg table.Config, axes table.Axes) 
 	return table.BuildCtx(ctx, cfg, axes)
 }
 
-// releaseFunc wraps releaseEntry in a once so a double release (a
-// handler's defer racing an error path, say) can never unpin an
-// entry twice.
-func (r *Registry) releaseFunc(e *regEntry) func() {
-	var once sync.Once
-	return func() { once.Do(func() { r.releaseEntry(e) }) }
-}
-
-// releaseEntry unpins e and closes its set when it was evicted and
-// this was the last holder.
-func (r *Registry) releaseEntry(e *regEntry) {
-	r.mu.Lock()
-	e.refs--
-	dead := e.evicted && e.refs == 0
-	r.mu.Unlock()
-	if dead && e.set != nil {
-		e.set.Close()
-		openSetsAdd(-1)
-	}
-}
-
-// evictOverCapLocked removes least-recently-used entries until the
-// registry is within maxSets, never evicting keep. It returns the sets
-// that can be closed immediately (no holders); entries still
-// referenced close at their last release. Caller holds r.mu.
-func (r *Registry) evictOverCapLocked(keep *regEntry) []*table.Set {
-	if r.maxSets <= 0 {
-		return nil
-	}
-	var closable []*table.Set
-	for len(r.entries) > r.maxSets {
+// evictOverCapLocked deletes least-recently-used entries until the
+// registry is within maxSets, never evicting keep. A request already
+// holding an evicted set keeps using it. Caller holds r.mu.
+func (r *Registry) evictOverCapLocked(keep *regEntry) {
+	for r.maxSets > 0 && len(r.entries) > r.maxSets {
 		var victim *regEntry
 		for _, e := range r.entries {
-			if e == keep {
-				continue
-			}
-			if victim == nil || e.lastUse < victim.lastUse {
+			if e != keep && (victim == nil || e.lastUse < victim.lastUse) {
 				victim = e
 			}
 		}
 		if victim == nil {
-			return closable
+			return
 		}
 		delete(r.entries, victim.key)
-		victim.evicted = true
 		regEvicts.Inc()
-		if victim.refs == 0 {
-			select {
-			case <-victim.ready:
-				if victim.set != nil {
-					closable = append(closable, victim.set)
-					openSetsAdd(-1)
-				}
-			default:
-				// Still filling with zero holders cannot happen: the
-				// filler holds a reference until fill completes.
-			}
-		}
+		openSetsAdd(-1)
 	}
-	return closable
 }
 
 // Len reports the resident entry count.
@@ -364,34 +309,12 @@ func (r *Registry) Len() int {
 	return len(r.entries)
 }
 
-// Close evicts every entry, closing each set as its last holder
-// releases (immediately, for unreferenced entries). Acquire may still
-// be called afterwards — the registry simply refills — so Close is
-// also usable as a flush.
-func (r *Registry) Close() error {
+// Close drops every entry; requests holding a set keep using it.
+// Acquire may still be called afterwards — the registry simply
+// refills — so Close is also usable as a flush.
+func (r *Registry) Close() {
 	r.mu.Lock()
-	var drop []*regEntry
-	for key, e := range r.entries {
-		delete(r.entries, key)
-		e.evicted = true
-		if e.refs == 0 {
-			drop = append(drop, e)
-		}
-	}
+	openSetsAdd(-int64(len(r.entries)))
+	clear(r.entries)
 	r.mu.Unlock()
-	var first error
-	for _, e := range drop {
-		select {
-		case <-e.ready:
-		default:
-			continue // filling entries close via their filler's release
-		}
-		if e.set != nil {
-			if err := e.set.Close(); err != nil && first == nil {
-				first = fmt.Errorf("serve: close %s: %w", e.key, err)
-			}
-			openSetsAdd(-1)
-		}
-	}
-	return first
 }

@@ -2,9 +2,7 @@ package serve
 
 import (
 	"context"
-	"os"
 	"runtime"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -59,11 +57,11 @@ func TestRegistryAcquireSharesOneSet(t *testing.T) {
 	r := NewRegistry(RegistryOptions{})
 	hits0, misses0 := regHits.Value(), regMisses.Value()
 
-	s1, rel1, err := r.Acquire(context.Background(), testTableConfig(), testAxes())
+	s1, _, err := r.Acquire(context.Background(), testTableConfig(), testAxes())
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, rel2, err := r.Acquire(context.Background(), testTableConfig(), testAxes())
+	s2, _, err := r.Acquire(context.Background(), testTableConfig(), testAxes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,11 +74,8 @@ func TestRegistryAcquireSharesOneSet(t *testing.T) {
 	if d := regHits.Value() - hits0; d != 1 {
 		t.Errorf("hits = %d, want 1", d)
 	}
-	rel1()
-	rel1() // double release is a no-op
-	rel2()
 	if n := r.Len(); n != 1 {
-		t.Errorf("Len = %d, want 1 (release does not evict)", n)
+		t.Errorf("Len = %d, want 1", n)
 	}
 }
 
@@ -112,12 +107,11 @@ func TestRegistryColdAcquire32Concurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			<-start
-			s, rel, err := r.Acquire(context.Background(), testTableConfig(), testAxes())
+			s, _, err := r.Acquire(context.Background(), testTableConfig(), testAxes())
 			if err != nil {
 				t.Error(err)
 				return
 			}
-			defer rel()
 			if _, err := s.SelfL(s.Axes.Widths[0], s.Axes.Lengths[0]); err != nil {
 				t.Error(err)
 			}
@@ -143,9 +137,9 @@ func otherConfig(base table.Config) table.Config {
 	return configAtFrequency(base.Frequency * 1.01)
 }
 
-// MaxSets is the registry's resident bound, exactly: acquiring and
-// releasing N+2 distinct keys at MaxSets N leaves N resident, and the
-// two evicted are the two least recently used.
+// MaxSets is the registry's resident bound, exactly: acquiring N+2
+// distinct keys at MaxSets N leaves N resident, and the two evicted
+// are the two least recently used.
 func TestRegistryMaxSetsIsExact(t *testing.T) {
 	const n = 3
 	ctx, axes := context.Background(), testAxes()
@@ -156,11 +150,9 @@ func TestRegistryMaxSetsIsExact(t *testing.T) {
 	}
 	acquire := func(cfg table.Config) {
 		t.Helper()
-		_, rel, err := r.Acquire(ctx, cfg, axes)
-		if err != nil {
+		if _, _, err := r.Acquire(ctx, cfg, axes); err != nil {
 			t.Fatal(err)
 		}
-		rel()
 	}
 	evicts0 := regEvicts.Value()
 	for _, cfg := range cfgs {
@@ -187,93 +179,53 @@ func TestRegistryMaxSetsIsExact(t *testing.T) {
 	if d := regMisses.Value() - misses0; d != 2 {
 		t.Errorf("the two oldest keys missed %d times, want 2", d)
 	}
-	if err := r.Close(); err != nil {
-		t.Fatal(err)
-	}
+	r.Close()
 }
 
-// Eviction closes an unreferenced set (its mapping is released) but
-// never one a request still holds: the close happens at the last
-// release.
+// Eviction is counted, and a set a request still holds keeps
+// evaluating after its entry is evicted and the collector has run:
+// the registry dropping a set never takes it from a request.
 func TestRegistryEvictionRespectsRefcounts(t *testing.T) {
-	dir := t.TempDir()
-	cache, err := table.NewCache(dir)
+	cache, err := table.NewCache(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
 	cfgA, axes := testTableConfig(), testAxes()
-
-	// Warm the cache so registry fills arrive as mmapped loads.
-	warm, err := cache.GetOrBuildCtx(ctx, cfgA, axes)
-	if err != nil {
-		t.Fatal(err)
+	cfgB := otherConfig(cfgA)
+	// Warm the cache so registry fills are file reads.
+	for _, cfg := range []table.Config{cfgA, cfgB} {
+		if _, err := cache.GetOrBuildCtx(ctx, cfg, axes); err != nil {
+			t.Fatal(err)
+		}
 	}
-	_ = warm
 
 	r := NewRegistry(RegistryOptions{Cache: cache, MaxSets: 1})
-	cfgB := otherConfig(cfgA)
-	if _, err := cache.GetOrBuildCtx(ctx, cfgB, axes); err != nil {
-		t.Fatal(err)
-	}
-
-	// Unreferenced eviction: acquire A, release, push B into the one
-	// slot. A's mapping must be released immediately.
-	setA, relA, err := r.Acquire(ctx, cfgA, axes)
+	setA, _, err := r.Acquire(ctx, cfgA, axes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !setA.Mapped() {
-		t.Fatal("cache-hit fill is not mmapped; eviction test needs a mapping")
-	}
-	relA()
 	evicts0 := regEvicts.Value()
-	_, relB, err := r.Acquire(ctx, cfgB, axes)
-	if err != nil {
+	if _, _, err := r.Acquire(ctx, cfgB, axes); err != nil { // evicts A while held
 		t.Fatal(err)
 	}
 	if d := regEvicts.Value() - evicts0; d != 1 {
 		t.Errorf("evictions = %d, want 1", d)
 	}
-	if setA.Mapped() {
-		t.Error("evicted unreferenced set still mapped")
-	}
-
-	// Referenced eviction: acquire A (refills, evicting B is not
-	// possible — B is the only other entry and gets evicted), hold the
-	// reference across the eviction and verify the set stays usable.
-	setA2, relA2, err := r.Acquire(ctx, cfgA, axes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	relB()
-	_, relB2, err := r.Acquire(ctx, cfgB, axes) // evicts A while held
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !setA2.Mapped() {
-		t.Fatal("held set unmapped by eviction")
-	}
-	if _, err := setA2.SelfL(setA2.Axes.Widths[0], setA2.Axes.Lengths[0]); err != nil {
+	runtime.GC()
+	if _, err := setA.SelfL(setA.Axes.Widths[0], setA.Axes.Lengths[0]); err != nil {
 		t.Errorf("lookup on held evicted set: %v", err)
 	}
-	relA2()
-	if setA2.Mapped() {
-		t.Error("evicted set still mapped after last release")
-	}
-	relB2()
-	if err := r.Close(); err != nil {
-		t.Fatal(err)
-	}
+	r.Close()
 	if n := r.Len(); n != 0 {
 		t.Errorf("Len after Close = %d, want 0", n)
 	}
 }
 
-// Every map-in is audited: under Warn, each registry miss that maps
-// an evicted set back in from the cache advances table.audits by
+// Every cache open is audited: under Warn, each registry miss that
+// reads an evicted set back in from the cache advances table.audits by
 // exactly one. The audit got cheaper; it is neither skipped nor
-// remembered across map-ins.
+// remembered across opens.
 func TestRegistryAuditsEveryMapIn(t *testing.T) {
 	prev := check.Active().Policy()
 	check.SetPolicy(check.Warn)
@@ -288,103 +240,35 @@ func TestRegistryAuditsEveryMapIn(t *testing.T) {
 	r := NewRegistry(RegistryOptions{Cache: cache, MaxSets: 1})
 	cfgB := otherConfig(cfgA)
 	for _, cfg := range []table.Config{cfgA, cfgB} {
-		warm, err := cache.GetOrBuildCtx(ctx, cfg, axes)
-		if err != nil {
+		if _, err := cache.GetOrBuildCtx(ctx, cfg, axes); err != nil {
 			t.Fatal(err)
 		}
-		warm.Close()
 	}
 
-	audits := obs.GetCounter("table.audits")
-	audits0, misses0, violations0 := audits.Value(), regMisses.Value(), check.Violations()
+	audits, cacheHits := obs.GetCounter("table.audits"), obs.GetCounter("table.cache_hits")
+	audits0, hits0, misses0, violations0 := audits.Value(), cacheHits.Value(), regMisses.Value(), check.Violations()
 	const rounds = 5
 	for i := 0; i < rounds; i++ {
 		for _, cfg := range []table.Config{cfgA, cfgB} {
-			s, rel, err := r.Acquire(ctx, cfg, axes)
-			if err != nil {
+			if _, _, err := r.Acquire(ctx, cfg, axes); err != nil {
 				t.Fatal(err)
 			}
-			if !s.Mapped() {
-				t.Fatal("registry fill is not a cache map-in")
-			}
-			rel()
 		}
 	}
 	misses := regMisses.Value() - misses0
 	if misses != 2*rounds {
-		t.Fatalf("misses = %d, want %d: the two keys share one slot, so every acquire maps in", misses, 2*rounds)
+		t.Fatalf("misses = %d, want %d: the two keys share one slot, so every acquire opens the cache", misses, 2*rounds)
+	}
+	if d := cacheHits.Value() - hits0; d != misses {
+		t.Fatalf("table.cache_hits advanced %d over %d registry misses, want every fill to be a cache hit", d, misses)
 	}
 	if d := audits.Value() - audits0; d != misses {
-		t.Errorf("table.audits advanced %d over %d map-ins, want one audit per map-in", d, misses)
+		t.Errorf("table.audits advanced %d over %d cache opens, want one audit per open", d, misses)
 	}
 	if d := check.Violations() - violations0; d != 0 {
 		t.Errorf("clean sets reported %d violations", d)
 	}
-	if err := r.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func mappingCount(t *testing.T) int {
-	t.Helper()
-	b, err := os.ReadFile("/proc/self/maps")
-	if err != nil {
-		t.Skipf("cannot read /proc/self/maps: %v", err)
-	}
-	return strings.Count(string(b), "\n")
-}
-
-// Steady-state acquire/evict cycles must not grow the process mapping
-// count: every munmap-on-evict pairs with the mmap that loaded the
-// set.
-func TestRegistryMappingCountFlat(t *testing.T) {
-	if runtime.GOOS != "linux" {
-		t.Skip("/proc/self/maps is Linux-only")
-	}
-	dir := t.TempDir()
-	cache, err := table.NewCache(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	axes := testAxes()
-	cfgs := make([]table.Config, 4)
-	for i := range cfgs {
-		cfgs[i] = configAtFrequency(3.2e9 * (1 + float64(i)/10))
-		if _, err := cache.GetOrBuildCtx(ctx, cfgs[i], axes); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	r := NewRegistry(RegistryOptions{Cache: cache, MaxSets: 1})
-	cycle := func() {
-		for _, cfg := range cfgs {
-			s, rel, err := r.Acquire(ctx, cfg, axes)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := s.SelfL(s.Axes.Widths[0], s.Axes.Lengths[0]); err != nil {
-				t.Error(err)
-			}
-			rel()
-		}
-	}
-	cycle() // warm up allocator/runtime mappings
-	before := mappingCount(t)
-	const cycles = 10
-	for i := 0; i < cycles; i++ {
-		cycle()
-	}
-	after := mappingCount(t)
-	// The 4 configs cycle through a one-slot registry: if evicted
-	// sets leaked their mappings the count would grow by tens of
-	// mappings; runtime noise is at most a few.
-	if after-before >= cycles {
-		t.Errorf("mapping count grew %d → %d across %d acquire/evict cycles", before, after, cycles)
-	}
-	if err := r.Close(); err != nil {
-		t.Fatal(err)
-	}
+	r.Close()
 }
 
 // A failed fill must not poison the key: the next acquire retries.
@@ -400,11 +284,10 @@ func TestRegistryFailedFillRetries(t *testing.T) {
 	if n := r.Len(); n != 0 {
 		t.Fatalf("failed fill left %d entries resident", n)
 	}
-	s, rel, err := r.Acquire(context.Background(), cfg, axes)
+	s, _, err := r.Acquire(context.Background(), cfg, axes)
 	if err != nil {
 		t.Fatalf("retry after failed fill: %v", err)
 	}
-	defer rel()
 	if s == nil {
 		t.Fatal("nil set from successful retry")
 	}

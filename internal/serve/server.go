@@ -65,8 +65,7 @@ type Config struct {
 	// registry; nil builds tables in memory only.
 	Cache *table.Cache
 	// MaxSets bounds the registry's resident table sets (see
-	// RegistryOptions.MaxSets; 0 = unbounded); evicted sets munmap
-	// once their last request ends.
+	// RegistryOptions.MaxSets; 0 = unbounded).
 	MaxSets int
 	// Workers bounds each request's extraction fan-out and any table
 	// build's sweep pool (0 = GOMAXPROCS).
@@ -105,7 +104,7 @@ type Config struct {
 }
 
 // Server is the extraction service: request handlers over a
-// refcounted registry of table sets. Create with New, mount Handler
+// bounded registry of table sets. Create with New, mount Handler
 // on an http.Server, and Close when drained.
 type Server struct {
 	cfg      Config
@@ -203,8 +202,12 @@ func (s *Server) Drain(ctx context.Context) error {
 	}
 }
 
-// Close releases the registry's table sets. Call after Drain.
-func (s *Server) Close() error { return s.reg.Close() }
+// Close drops the registry's table sets. Call after Drain. The error
+// is always nil.
+func (s *Server) Close() error {
+	s.reg.Close()
+	return nil
+}
 
 // SegmentRequest is one wire segment, in the units the CLIs use
 // (micrometres; the response is SI).
@@ -475,16 +478,15 @@ func (s *Server) extract(ctx context.Context, req BatchRequest) ([]netlist.Segme
 		}
 	}
 
-	// Pin every needed set for the request's lifetime. The sets are
-	// shared across requests; the per-request lookup policy rides a
-	// shallow header copy, never a write to the shared set.
+	// The sets are shared across requests; the per-request lookup
+	// policy rides a shallow header copy, never a write to the shared
+	// set.
 	var sets []*table.Set
 	for _, sh := range needed {
-		set, release, err := s.reg.Acquire(ctx, s.tableConfig(sh, freq), s.cfg.Axes)
+		set, _, err := s.reg.Acquire(ctx, s.tableConfig(sh, freq), s.cfg.Axes)
 		if err != nil {
 			return nil, err
 		}
-		defer release()
 		sets = append(sets, set.WithLookup(lookup))
 	}
 	ext, err := core.NewExtractorFromTables(s.cfg.Tech, freq, sets...)

@@ -21,7 +21,6 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
-	"time"
 
 	"clockrlc/internal/check"
 	"clockrlc/internal/fault"
@@ -44,16 +43,6 @@ var (
 	cacheIOErrs    = obs.GetCounter("table.cache_io_errors")
 	cacheCoalesced = obs.GetCounter("table.cache_coalesced")
 )
-
-// cacheRetry re-attempts transient cache I/O (per fault.IsTransient)
-// before degrading; corrupt or missing entries are never retried.
-var cacheRetry = fault.Policy{
-	Attempts: 3,
-	Base:     time.Millisecond,
-	Max:      50 * time.Millisecond,
-	Factor:   4,
-	Jitter:   0.5,
-}
 
 // cacheKeyRecord pins exactly the fields that participate in the
 // cache key. Config.Name is provenance (a label) and Config.Workers
@@ -160,9 +149,9 @@ func NewCache(dir string) (*Cache, error) {
 func (c *Cache) Dir() string { return c.dir }
 
 // Path returns the on-disk location of a key's entry. Entries are v3
-// binaries (.rlct) so a hit mmaps instead of parsing; the extension
-// change is safe because the FormatVersion bump re-keyed everything
-// anyway.
+// binaries (.rlct) so a hit is one aligned read instead of a parse;
+// the extension change is safe because the FormatVersion bump re-keyed
+// everything anyway.
 func (c *Cache) Path(key string) string { return filepath.Join(c.dir, key+".rlct") }
 
 // Get looks up the set (cfg, axes) addresses. A missing entry is
@@ -178,7 +167,7 @@ func (c *Cache) Get(cfg Config, axes Axes) (*Set, bool, error) {
 // GetCtx is Get honouring cancellation: retry backoffs wake on a
 // cancelled ctx and the context error is returned rather than being
 // misread as a miss. Transient read failures (injected or the
-// retryable POSIX errnos) are re-attempted per cacheRetry; if they
+// retryable POSIX errnos) are re-attempted per transientRetry; if they
 // persist the entry is counted in table.cache_io_errors and treated
 // as a miss, degrading to a rebuild instead of failing the caller.
 func (c *Cache) GetCtx(ctx context.Context, cfg Config, axes Axes) (*Set, bool, error) {
@@ -187,7 +176,7 @@ func (c *Cache) GetCtx(ctx context.Context, cfg Config, axes Axes) (*Set, bool, 
 		return nil, false, err
 	}
 	var s *Set
-	err = cacheRetry.Do(ctx, "table.cache.read", func() error {
+	err = transientRetry.Do(ctx, "table.cache.read", func() error {
 		if err := fault.Check(fault.CacheRead); err != nil {
 			return err
 		}
@@ -235,9 +224,7 @@ func (c *Cache) GetCtx(ctx context.Context, cfg Config, axes Axes) (*Set, bool, 
 // both excluded from the content address, so a hit must re-apply them
 // — without mutating s: once a registry shares one *Set across
 // requests, writing s.Config here would be a data race on every hit.
-// The copy shares the grids (and, when s came straight off a fresh
-// load, inherits its mapping: the original header is discarded, so
-// ownership transfers with the copy).
+// The copy shares the grids.
 func setWithHeader(s *Set, cfg Config) *Set {
 	if s.Config.Name == cfg.Name && s.Config.Workers == cfg.Workers {
 		return s
@@ -254,7 +241,7 @@ func (c *Cache) Put(s *Set) error {
 }
 
 // PutCtx is Put honouring cancellation; transient write failures are
-// re-attempted per cacheRetry before the error is returned.
+// re-attempted per transientRetry before the error is returned.
 func (c *Cache) PutCtx(ctx context.Context, s *Set) error {
 	if s == nil {
 		return errors.New("table: cache: nil set")
@@ -263,7 +250,7 @@ func (c *Cache) PutCtx(ctx context.Context, s *Set) error {
 	if err != nil {
 		return err
 	}
-	err = cacheRetry.Do(ctx, "table.cache.write", func() error {
+	err = transientRetry.Do(ctx, "table.cache.write", func() error {
 		if err := fault.Check(fault.CacheWrite); err != nil {
 			return err
 		}

@@ -74,7 +74,7 @@ func load(r io.Reader) (*Set, error) {
 		// v3Floats copies any block the buffer leaves unaligned, so an
 		// arbitrary reader is fine here; the zero-copy fast path is
 		// LoadFile's.
-		return loadV3(data, nil)
+		return loadV3(data)
 	}
 	return loadJSON(br)
 }
@@ -144,23 +144,26 @@ func Load(r io.Reader) (*Set, error) {
 	return s, nil
 }
 
-// LoadFile reads a set from a file path. v3 files take the zero-copy
-// path: the file is mmap'd (plain aligned read where mmap is
-// unavailable) and the grids point straight into the image — release
-// with Set.Close. Every failure — decode, integrity, or (when the
-// check engine is armed) a physical-invariant audit — names the file,
-// so a bad artifact in a multi-file library is identifiable.
+// LoadFile reads a set from a file path. A v3 file is read whole into
+// one 8-aligned buffer that the grids point straight into, once its
+// header has been checked against the file's size; the set is
+// ordinary heap memory. Every failure — decode, integrity, or (when
+// the check engine is armed) a physical-invariant audit — names the
+// file, so a bad artifact in a multi-file library is identifiable.
 func LoadFile(path string) (*Set, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("table: %w", err)
 	}
 	defer f.Close()
-	var head [8]byte
+	var head [v3HeaderSize]byte
 	n, _ := io.ReadFull(f, head[:])
 	var s *Set
-	if n == len(head) && head == v3Magic {
-		s, err = loadFileV3(f)
+	if n >= len(v3Magic) && [8]byte(head[:8]) == v3Magic {
+		var data []byte
+		if data, err = readAligned(f, head[:n]); err == nil {
+			s, err = loadV3(data)
+		}
 	} else {
 		if _, serr := f.Seek(0, io.SeekStart); serr != nil {
 			return nil, fmt.Errorf("table: %s: %w", path, serr)
@@ -171,7 +174,6 @@ func LoadFile(path string) (*Set, error) {
 		return nil, fmt.Errorf("table: %s: %w", path, err)
 	}
 	if err := s.reportAudit(check.Active()); err != nil {
-		s.Close()
 		return nil, fmt.Errorf("table: %s: %w", path, err)
 	}
 	return s, nil

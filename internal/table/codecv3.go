@@ -18,9 +18,9 @@ import (
 // Codec v3 is the zero-copy binary format every save writes (the v1/v2
 // JSON codecs in codec.go are read-only): a little-endian,
 // 8-byte-aligned layout whose on-disk shape is the in-memory shape, so
-// a load can mmap the file and point the spline grids straight into
-// the mapping — no parse, no float copies, no tridiagonal solves (the
-// per-axis spline coefficient matrices are persisted too).
+// a load reads the file into one aligned buffer and points the spline
+// grids straight into it — no parse, no float copies, no tridiagonal
+// solves (the per-axis spline coefficient matrices are persisted too).
 //
 // Layout (all offsets fixed, all multi-byte values little-endian):
 //
@@ -220,8 +220,8 @@ func (s *Set) SaveFile(path string) error {
 
 // v3Floats returns data[off : off+8n] as a []float64. When the host is
 // little-endian and the region 8-aligned this is a zero-copy
-// reinterpret of the underlying bytes (the mmap'd or aligned-read
-// buffer); otherwise the block is decoded into a fresh slice.
+// reinterpret of the underlying bytes (LoadFile's aligned buffer);
+// otherwise the block is decoded into a fresh slice.
 func v3Floats(data []byte, off, n int) []float64 {
 	if n == 0 {
 		return nil
@@ -237,48 +237,63 @@ func v3Floats(data []byte, off, n int) []float64 {
 	return out
 }
 
-// loadV3 decodes a v3 image. unmap, when non-nil, releases the file
-// mapping backing data and is adopted by the returned set (Close);
-// on any decode error it is the caller's job to unmap.
-//
-// Errors carry no "table:" prefix, mirroring load: Load and LoadFile
-// frame them.
-func loadV3(data []byte, unmap func() error) (*Set, error) {
-	if len(data) < v3HeaderSize {
-		return nil, fmt.Errorf("v3 record truncated: %d bytes is shorter than the %d-byte header", len(data), v3HeaderSize)
+// v3Shape is what a v3 header declares: the set name's byte length
+// and the width, spacing and length axis counts.
+type v3Shape struct{ nameLen, nw, ns, nl int }
+
+// v3Layout checks a v3 header against the format's limits and the
+// record's total size, and returns the shape it declares. Both entry
+// points run it before anything is checksummed, and LoadFile before
+// anything is read, so a header cannot make a load hash or allocate
+// for a size it did not declare. head holds the first
+// min(size, v3HeaderSize) bytes of the record.
+func v3Layout(head []byte, size int64) (v3Shape, error) {
+	if size < v3HeaderSize || len(head) < v3HeaderSize {
+		return v3Shape{}, fmt.Errorf("v3 record truncated: %d bytes is shorter than the %d-byte header", size, v3HeaderSize)
 	}
-	if [8]byte(data[:8]) != v3Magic {
-		return nil, errors.New("bad v3 magic")
+	if [8]byte(head[:8]) != v3Magic {
+		return v3Shape{}, errors.New("bad v3 magic")
 	}
 	le := binary.LittleEndian
-	switch v := le.Uint32(data[8:]); {
+	switch v := le.Uint32(head[8:]); {
 	case v < formatVersionV3:
-		return nil, fmt.Errorf("bad format version %d in a v3-framed record", v)
+		return v3Shape{}, fmt.Errorf("bad format version %d in a v3-framed record", v)
 	case v > formatVersionV3:
-		return nil, fmt.Errorf("format version %d is newer than this build reads (max %d); rebuild the tables or upgrade", v, formatVersionV3)
+		return v3Shape{}, fmt.Errorf("format version %d is newer than this build reads (max %d); rebuild the tables or upgrade", v, formatVersionV3)
 	}
-	if got, want := v3Checksum(data), [32]byte(data[16:48]); got != want {
-		return nil, fmt.Errorf("checksum mismatch (file corrupt or truncated): stored %x…, computed %x…", want[:6], got[:6])
-	}
-	nameLen := int(le.Uint32(data[100:]))
-	nw := int(le.Uint32(data[104:]))
-	ns := int(le.Uint32(data[108:]))
-	nl := int(le.Uint32(data[112:]))
+	nameLen := int(le.Uint32(head[100:]))
+	nw := int(le.Uint32(head[104:]))
+	ns := int(le.Uint32(head[108:]))
+	nl := int(le.Uint32(head[112:]))
 	if nameLen > v3MaxNameLen {
-		return nil, fmt.Errorf("name length %d exceeds the v3 limit %d", nameLen, v3MaxNameLen)
+		return v3Shape{}, fmt.Errorf("name length %d exceeds the v3 limit %d", nameLen, v3MaxNameLen)
 	}
 	if nw > v3MaxAxisLen || ns > v3MaxAxisLen || nl > v3MaxAxisLen {
-		return nil, fmt.Errorf("axis counts %d×%d×%d exceed the v3 limit %d", nw, ns, nl, v3MaxAxisLen)
+		return v3Shape{}, fmt.Errorf("axis counts %d×%d×%d exceed the v3 limit %d", nw, ns, nl, v3MaxAxisLen)
 	}
 	nf := uint64(nw) + uint64(ns) + uint64(nl) +
 		uint64(nw)*uint64(nl) +
 		uint64(nw)*uint64(nw)*uint64(ns)*uint64(nl) +
 		uint64(nw)*uint64(nw) + uint64(ns)*uint64(ns) + uint64(nl)*uint64(nl)
-	want := uint64(v3HeaderSize) + uint64(v3Pad(nameLen)) + 8*nf
-	if uint64(len(data)) != want {
-		return nil, fmt.Errorf("size mismatch (corrupt or truncated): %d bytes for a layout needing %d", len(data), want)
+	if want := uint64(v3HeaderSize) + uint64(v3Pad(nameLen)) + 8*nf; uint64(size) != want {
+		return v3Shape{}, fmt.Errorf("size mismatch (corrupt or truncated): %d bytes for a layout needing %d", size, want)
+	}
+	return v3Shape{nameLen, nw, ns, nl}, nil
+}
+
+// loadV3 decodes a v3 image. Errors carry no "table:" prefix,
+// mirroring load: Load and LoadFile frame them.
+func loadV3(data []byte) (*Set, error) {
+	sh, err := v3Layout(data, int64(len(data)))
+	if err != nil {
+		return nil, err
+	}
+	nameLen, nw, ns, nl := sh.nameLen, sh.nw, sh.ns, sh.nl
+	if got, want := v3Checksum(data), [32]byte(data[16:48]); got != want {
+		return nil, fmt.Errorf("checksum mismatch (file corrupt or truncated): stored %x…, computed %x…", want[:6], got[:6])
 	}
 
+	le := binary.LittleEndian
 	cfg := Config{
 		Name:           string(data[v3HeaderSize : v3HeaderSize+nameLen]),
 		Thickness:      math.Float64frombits(le.Uint64(data[48:])),
@@ -317,20 +332,22 @@ func loadV3(data []byte, unmap func() error) (*Set, error) {
 	if err != nil {
 		return nil, fmt.Errorf("mutual grid: %w", err)
 	}
-	return &Set{Config: cfg, Axes: axes, Self: selfGrid, Mutual: mutGrid, unmap: unmap}, nil
+	return &Set{Config: cfg, Axes: axes, Self: selfGrid, Mutual: mutGrid}, nil
 }
 
-// readAligned reads the whole of f into an 8-aligned buffer (backed by
-// a []float64 allocation), so the zero-copy reinterpret in v3Floats
-// works even without mmap.
-func readAligned(f *os.File) ([]byte, error) {
+// readAligned reads the v3 file f, whose first bytes are head, into an
+// 8-aligned buffer (backed by a []float64 allocation), so the
+// zero-copy reinterpret in v3Floats applies. The header is checked
+// against the file's size first: a file longer or shorter than its
+// header declares is refused before its body is read.
+func readAligned(f *os.File, head []byte) ([]byte, error) {
 	st, err := f.Stat()
 	if err != nil {
 		return nil, err
 	}
 	size := st.Size()
-	if size < v3HeaderSize {
-		return nil, fmt.Errorf("v3 record truncated: %d bytes is shorter than the %d-byte header", size, v3HeaderSize)
+	if _, err := v3Layout(head, size); err != nil {
+		return nil, err
 	}
 	if size != int64(int(size)) {
 		return nil, fmt.Errorf("file too large to load: %d bytes", size)
@@ -343,60 +360,15 @@ func readAligned(f *os.File) ([]byte, error) {
 	return buf, nil
 }
 
-// loadFileV3 maps f and decodes it, falling back to an aligned plain
-// read where mmap is unavailable or refused. The returned set owns the
-// mapping (release with Close); a plain-read set owns nothing.
-func loadFileV3(f *os.File) (*Set, error) {
-	data, unmap, err := mapFile(f)
-	if err != nil {
-		// Fallback path: not zero-copy across the file boundary, but
-		// still parse-free and solve-free.
-		data, err = readAligned(f)
-		if err != nil {
-			return nil, err
-		}
-		unmap = nil
-	}
-	s, err := loadV3(data, unmap)
-	if err != nil {
-		if unmap != nil {
-			unmap()
-		}
-		return nil, err
-	}
-	return s, nil
-}
-
-// Mapped reports whether the set's grids point into a live file
-// mapping (a zero-copy v3 load). Mapped sets are strictly read-only:
-// writing a grid value would fault, and the set must outlive no use of
-// its values past Close.
-func (s *Set) Mapped() bool { return s.unmap != nil }
-
-// Close releases the file mapping backing a zero-copy loaded set.
-// After Close the set's axes, values and coefficient matrices must not
-// be touched. Close is idempotent and a no-op for heap-backed sets.
-func (s *Set) Close() error {
-	if s.unmap == nil {
-		return nil
-	}
-	u := s.unmap
-	s.unmap = nil
-	return u()
-}
-
 // WithLookup returns a set answering out-of-range lookups per p,
-// sharing this set's grids. The receiver is never modified — setting
+// sharing this set's grids. The receiver is never modified: setting
 // s.Lookup directly on a set a registry shares across requests would
-// be a data race — and the returned copy does not own the file
-// mapping: only the original's Close releases it, so the copy must
-// not outlive the original.
+// be a data race.
 func (s *Set) WithLookup(p LookupPolicy) *Set {
 	if s == nil || s.Lookup == p {
 		return s
 	}
 	cp := *s
 	cp.Lookup = p
-	cp.unmap = nil
 	return &cp
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -59,7 +60,6 @@ func TestCodecV3RoundTripBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer got.Close()
 
 	wantCfg := orig.Config
 	wantCfg.Workers = 0
@@ -113,7 +113,6 @@ func TestCodecV3GoldenMigration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer fromV3.Close()
 
 	for name, pair := range map[string][2][]float64{
 		"self":   {fromJSON.Self.Vals, fromV3.Self.Vals},
@@ -144,9 +143,6 @@ func TestCodecV3LoadFromReader(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Mapped() {
-		t.Error("reader-loaded set claims a file mapping")
-	}
 	if got.Config.Name != orig.Config.Name {
 		t.Errorf("name %q != %q", got.Config.Name, orig.Config.Name)
 	}
@@ -166,8 +162,8 @@ func TestCodecV3RejectsCorruption(t *testing.T) {
 	good := buf.Bytes()
 	dir := t.TempDir()
 	// reseal recomputes the checksum after a structural mutation, so
-	// the test reaches the size/bound guards behind the integrity
-	// check (the layers a checksum-aware corruptor would hit).
+	// only the size/bound guards can reject the record (the layers a
+	// checksum-aware corruptor would hit).
 	reseal := func(b []byte) []byte {
 		sum := v3Checksum(b)
 		copy(b[16:48], sum[:])
@@ -211,27 +207,29 @@ func TestCodecV3RejectsCorruption(t *testing.T) {
 	}
 }
 
-func TestCodecV3CloseIdempotent(t *testing.T) {
-	orig := syntheticSet(t)
-	path := filepath.Join(t.TempDir(), "set.rlct")
-	if err := orig.SaveFile(path); err != nil {
+// TestLoadFileRefusesPaddedV3BeforeReading: a v3 file grown far past
+// the size its header declares is refused by the header check alone,
+// before its body is read or allocated for. os.Truncate grows the file
+// sparsely, so the test writes nothing.
+func TestLoadFileRefusesPaddedV3BeforeReading(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "padded.rlct")
+	if err := syntheticSet(t).SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
-	s, err := LoadFile(path)
-	if err != nil {
+	const padded = 256 << 20
+	if err := os.Truncate(path, padded); err != nil {
 		t.Fatal(err)
 	}
-	mapped := s.Mapped()
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := LoadFile(path)
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "size mismatch") || !strings.Contains(err.Error(), path) {
+		t.Fatalf("LoadFile of a file padded to %d bytes: got %v, want a size mismatch naming %s", padded, err, path)
 	}
-	if s.Mapped() {
-		t.Error("set still reports Mapped after Close")
+	if d := after.TotalAlloc - before.TotalAlloc; d >= 16<<20 {
+		t.Errorf("LoadFile allocated %d bytes before refusing a file padded to %d bytes", d, padded)
 	}
-	if err := s.Close(); err != nil {
-		t.Errorf("second Close: %v", err)
-	}
-	_ = mapped // plain-read fallback platforms legitimately report false
 }
 
 // TestLoadDirMixedFormats: a library directory may hold legacy .json

@@ -46,19 +46,17 @@ func FuzzCodecV3LoadFile(f *testing.F) {
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// The file path (sniff + mmap or aligned read).
+		// The file path (sniff + header check + aligned read).
 		path := filepath.Join(t.TempDir(), "in.rlct")
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		if s, err := LoadFile(path); err == nil {
 			fuzzCheckAccepted(t, s)
-			s.Close()
 		}
 		// The io.Reader path (sniff + buffered copy).
 		if s, err := Load(bytes.NewReader(data)); err == nil {
 			fuzzCheckAccepted(t, s)
-			s.Close()
 		}
 	})
 }

@@ -60,21 +60,6 @@ func (l *Library) Names() []string {
 // Len reports the set count.
 func (l *Library) Len() int { return len(l.sets) }
 
-// Close releases every set's file mapping (a no-op for heap-backed
-// sets). Every set is closed even if some fail; the first error is
-// returned, naming its set. After Close no set's values may be
-// touched. A long-lived process that opens libraries repeatedly must
-// Close them, or each v3 open leaks a mapping for process lifetime.
-func (l *Library) Close() error {
-	var first error
-	for _, name := range l.Names() {
-		if err := l.sets[name].Close(); err != nil && first == nil {
-			first = fmt.Errorf("table: close %s: %w", name, err)
-		}
-	}
-	return first
-}
-
 // fileName maps a set name ("M6/microstrip") to a filesystem-safe
 // .rlct file name. The mapping is injective: bytes outside
 // [A-Za-z0-9._-] — '%' included — are %XX-escaped, so distinct names
@@ -125,8 +110,7 @@ func (l *Library) SaveDir(dir string) error {
 // LoadDir reads every *.rlct (v3 binary) and *.json (legacy v1/v2)
 // table set in dir into a new library. LoadFile already frames its
 // errors with "table: <path>: …", so they pass through unwrapped here
-// — re-framing them would stutter the prefix. On an error the sets
-// already opened are closed, so a failed load leaks no mapping.
+// — re-framing them would stutter the prefix.
 func LoadDir(dir string) (*Library, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -139,12 +123,9 @@ func LoadDir(dir string) (*Library, error) {
 		}
 		s, err := LoadFile(filepath.Join(dir, e.Name()))
 		if err != nil {
-			l.Close()
 			return nil, err
 		}
 		if err := l.Add(s); err != nil {
-			s.Close()
-			l.Close()
 			return nil, err
 		}
 	}

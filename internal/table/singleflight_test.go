@@ -172,7 +172,6 @@ func TestGetCtxConcurrentDistinctNames(t *testing.T) {
 						s.Config.Name, s.Config.Workers, name, i+1)
 					return
 				}
-				s.Close()
 			}
 		}(i)
 	}

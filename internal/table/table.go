@@ -273,10 +273,6 @@ type Set struct {
 	// sharing the Set across goroutines; it is not persisted by the
 	// codec.
 	Lookup LookupPolicy
-
-	// unmap releases the file mapping backing a zero-copy v3 load
-	// (nil for heap-backed sets). See Mapped and Close in codecv3.go.
-	unmap func() error
 }
 
 // Build sweeps the numerical engine over the axes and assembles the
@@ -289,10 +285,11 @@ func Build(cfg Config, axes Axes) (*Set, error) {
 	return BuildCtx(context.Background(), cfg, axes)
 }
 
-// solverRetry re-attempts transient field-solver failures (per
-// fault.IsTransient) a few times with jittered backoff before failing
-// the sweep cell; deterministic solver errors fail on the first try.
-var solverRetry = fault.Policy{
+// transientRetry re-attempts transient failures (per
+// fault.IsTransient) of a field solve or of cache I/O a few times with
+// jittered backoff. Deterministic errors — a solver error, a corrupt
+// or missing cache entry — fail on the first try.
+var transientRetry = fault.Policy{
 	Attempts: 3,
 	Base:     time.Millisecond,
 	Max:      50 * time.Millisecond,
@@ -303,7 +300,7 @@ var solverRetry = fault.Policy{
 // BuildCtx is Build honouring cancellation and deadlines: a cancelled
 // ctx stops the sweep within one cell's solve time, drains every
 // worker (no goroutine survives the return) and yields ctx.Err().
-// Transient solver failures are retried per solverRetry; a panicking
+// Transient solver failures are retried per transientRetry; a panicking
 // sweep cell surfaces as a *CellPanic carrying its cell index.
 func BuildCtx(ctx context.Context, cfg Config, axes Axes) (*Set, error) {
 	if ctx == nil {
@@ -343,7 +340,7 @@ func BuildCtx(ctx context.Context, cfg Config, axes Axes) (*Set, error) {
 		_, csp := obs.StartCtx(ctx, "table.self_cell")
 		csp.SetAttr("cell", k)
 		defer csp.End()
-		return solverRetry.Do(ctx, "table.self", func() error {
+		return transientRetry.Do(ctx, "table.self", func() error {
 			v, err := selfEntry(cfg, w, l)
 			if err != nil {
 				return fmt.Errorf("table: self(w=%g, l=%g): %w", w, l, err)
@@ -385,7 +382,7 @@ func BuildCtx(ctx context.Context, cfg Config, axes Axes) (*Set, error) {
 		_, csp := obs.StartCtx(ctx, "table.mutual_cell")
 		csp.SetAttr("cell", k)
 		defer csp.End()
-		return solverRetry.Do(ctx, "table.mutual", func() error {
+		return transientRetry.Do(ctx, "table.mutual", func() error {
 			v, err := mutualEntry(cfg, jb.w1, jb.w2, jb.sp, jb.l)
 			if err != nil {
 				return fmt.Errorf("table: mutual(w1=%g, w2=%g, s=%g, l=%g): %w", jb.w1, jb.w2, jb.sp, jb.l, err)
