@@ -34,7 +34,7 @@ func main() {
 		wsig      = flag.Float64("wsig", 10, "signal width (µm)")
 		wgnd      = flag.Float64("wgnd", 5, "ground/shield width (µm)")
 		space     = flag.Float64("space", 1, "signal-to-shield spacing (µm)")
-		shield    = flag.String("shield", "coplanar", "shielding: coplanar or microstrip")
+		shield    = flag.String("shield", "coplanar", "shielding: coplanar, microstrip or stripline")
 		thickness = flag.Float64("thickness", 2, "metal thickness (µm)")
 		capHeight = flag.Float64("caph", 2, "height over the capacitive reference (µm)")
 		tr        = flag.Float64("tr", 50, "minimum rise time (ps)")
@@ -64,14 +64,9 @@ func main() {
 
 func run(ctx context.Context, length, wsig, wgnd, space float64, shield string, thickness, capHeight,
 	tr float64, tablePath, cacheDir string, doNetlist bool, sections int, lookupPol string) error {
-	var sh geom.Shielding
-	switch shield {
-	case "coplanar":
-		sh = geom.ShieldNone
-	case "microstrip":
-		sh = geom.ShieldMicrostrip
-	default:
-		return fmt.Errorf("bad -shield %q", shield)
+	sh, err := geom.ParseShielding(shield)
+	if err != nil {
+		return fmt.Errorf("-shield: %w", err)
 	}
 	lp, err := table.ParseLookupPolicy(lookupPol)
 	if err != nil {
@@ -93,8 +88,7 @@ func run(ctx context.Context, length, wsig, wgnd, space float64, shield string, 
 		if err2 != nil {
 			return err2
 		}
-		set.Lookup = lp
-		ext, err = core.NewExtractorFromTables(tech, freq, set)
+		ext, err = core.NewExtractorFromTables(tech, freq, set.WithLookup(lp))
 	} else {
 		opts := []core.Option{core.WithLookupPolicy(lp)}
 		if cacheDir != "" {

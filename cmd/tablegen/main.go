@@ -151,16 +151,9 @@ func run(ctx context.Context, out, name string, thickness float64, rhoName, shie
 			return fmt.Errorf("bad -rho %q", rhoName)
 		}
 	}
-	var sh geom.Shielding
-	switch shield {
-	case "coplanar":
-		sh = geom.ShieldNone
-	case "microstrip":
-		sh = geom.ShieldMicrostrip
-	case "stripline":
-		sh = geom.ShieldStripline
-	default:
-		return fmt.Errorf("bad -shield %q", shield)
+	sh, err := geom.ParseShielding(shield)
+	if err != nil {
+		return fmt.Errorf("-shield: %w", err)
 	}
 	cfg := table.Config{
 		Name:           name + "/" + shield,
@@ -212,7 +205,6 @@ func run(ctx context.Context, out, name string, thickness float64, rhoName, shie
 		}
 	}()
 	var set *table.Set
-	var err error
 	if cacheDir != "" {
 		// Consult the content-addressed cache before sweeping; a hit
 		// costs zero solver calls and is bit-identical to a cold build.

@@ -65,7 +65,7 @@ func main() {
 	flag.Float64Var(&cfg.wsig, "wsig", 10, "signal width (µm)")
 	flag.Float64Var(&cfg.wgnd, "wgnd", 5, "shield width (µm)")
 	flag.Float64Var(&cfg.space, "space", 1, "spacing (µm)")
-	flag.StringVar(&cfg.shield, "shield", "coplanar", "coplanar or microstrip")
+	flag.StringVar(&cfg.shield, "shield", "coplanar", "coplanar, microstrip or stripline")
 	flag.Float64Var(&cfg.tr, "tr", 50, "buffer output rise time (ps)")
 	flag.Float64Var(&cfg.rdrv, "rdrv", 40, "buffer drive resistance (Ω)")
 	flag.Float64Var(&cfg.cin, "cin", 50, "buffer input capacitance (fF)")
@@ -98,14 +98,9 @@ func main() {
 }
 
 func run(ctx context.Context, cfg config) error {
-	var sh geom.Shielding
-	switch cfg.shield {
-	case "coplanar":
-		sh = geom.ShieldNone
-	case "microstrip":
-		sh = geom.ShieldMicrostrip
-	default:
-		return fmt.Errorf("bad -shield %q", cfg.shield)
+	sh, err := geom.ParseShielding(cfg.shield)
+	if err != nil {
+		return fmt.Errorf("-shield: %w", err)
 	}
 	var modes []bool
 	switch cfg.mode {

@@ -1,11 +1,12 @@
 // Package bus models the paper's Fig. 4 bus structure: N parallel
 // signal traces between two dedicated AC-ground traces, as one RLC
 // netlist ("we can easily construct the RLC netlist for a N parallel
-// wires", Section V). Every wire is sectioned into PEEC bars with the
-// full partial-inductance coupling matrix; capacitances follow the
-// paper's 3-trace decomposition, with signal-to-shield couplings
-// grounded and signal-to-signal couplings kept as true coupling
-// capacitors (they connect two live nodes).
+// wires", Section V). Every wire goes to core's sectioned-PEEC builder
+// (Extractor.AddPartialWires), which couples all the bars through the
+// full partial-inductance matrix; capacitances follow the paper's
+// 3-trace decomposition, with signal-to-shield couplings grounded and
+// signal-to-signal couplings kept as true coupling capacitors (they
+// connect two live nodes).
 //
 // The package answers the bus questions the extraction enables:
 // switching noise injected into quiet victims by any set of
@@ -21,7 +22,6 @@ import (
 	"clockrlc/internal/geom"
 	"clockrlc/internal/netlist"
 	"clockrlc/internal/peec"
-	"clockrlc/internal/resist"
 	"clockrlc/internal/sim"
 )
 
@@ -126,92 +126,31 @@ func Noise(e *core.Extractor, s Spec, aggressors []int, probeVictim int) (*Resul
 		return nil, err
 	}
 
-	// Sectioned bars for all wires (grounds included).
-	n := s.Sections
-	secLen := s.Length / float64(n)
-	total := s.N + 2
-	var bars []peec.Bar
-	for _, tr := range blk.Traces {
-		full := peec.BarFromTrace(tr)
-		for k := 0; k < n; k++ {
-			b := full
-			b.O[0] = full.O[0] + float64(k)*secLen
-			b.L = secLen
-			bars = append(bars, b)
+	// Capacitance per the 3-trace decomposition: ground part plus
+	// grounded couplings to AC-ground neighbours; a true coupling
+	// capacitor to a live signal neighbour on the right (added once per
+	// adjacent pair).
+	wires := make([]core.PartialWire, len(blk.Traces))
+	for w, tr := range blk.Traces {
+		wires[w] = core.PartialWire{Name: fmt.Sprintf("w%d", w), Bar: peec.BarFromTrace(tr), Ground: blk.IsGround[w]}
+		if blk.IsGround[w] {
+			continue
 		}
+		wires[w].From, wires[w].To = fmt.Sprintf("s%d.in", w-1), fmt.Sprintf("s%d.out", w-1)
+		c := caps[w].Ground
+		if blk.IsGround[w-1] {
+			c += caps[w].Left
+		}
+		if blk.IsGround[w+1] {
+			c += caps[w].Right
+		} else {
+			wires[w].CNext = caps[w].Right * s.Length
+		}
+		wires[w].C = c * s.Length
 	}
-	lp := peec.PartialMatrix(bars)
-
 	nl := netlist.New()
-	node := func(w int, k int) string {
-		if k == 0 {
-			if w == 0 || w == total-1 {
-				return fmt.Sprintf("g%d.end0", w)
-			}
-			return fmt.Sprintf("s%d.in", w-1)
-		}
-		return fmt.Sprintf("w%d.n%d", w, k)
-	}
-	endNode := func(w int) string {
-		if w == 0 || w == total-1 {
-			return fmt.Sprintf("g%d.end1", w)
-		}
-		return fmt.Sprintf("s%d.out", w-1)
-	}
-	const bondR = 1e-3
-	inds := make([]int, len(bars))
-	for w := 0; w < total; w++ {
-		tr := blk.Traces[w]
-		rw, err := resist.ACSkinArea(s.Length, tr.Width, e.Tech.Thickness, e.Tech.Rho, e.Frequency)
-		if err != nil {
-			return nil, err
-		}
-		ground := blk.IsGround[w]
-		if ground {
-			nl.AddR(fmt.Sprintf("w%d.bond0", w), node(w, 0), netlist.Ground, bondR)
-		}
-		for k := 0; k < n; k++ {
-			from := node(w, k)
-			to := node(w, k+1)
-			if k == n-1 {
-				to = endNode(w)
-			}
-			mid := fmt.Sprintf("w%d.m%d", w, k)
-			nl.AddR(fmt.Sprintf("w%d.r%d", w, k), from, mid, rw/float64(n))
-			inds[w*n+k] = nl.AddL(fmt.Sprintf("w%d.l%d", w, k), mid, to, lp.At(w*n+k, w*n+k))
-			if ground {
-				nl.AddR(fmt.Sprintf("w%d.bond%d", w, k+1), to, netlist.Ground, bondR)
-				continue
-			}
-			// Capacitance per the 3-trace decomposition: ground part
-			// plus grounded couplings to AC-ground neighbours; true
-			// coupling capacitors to live signal neighbours.
-			c := caps[w].Ground
-			if blk.IsGround[w-1] {
-				c += caps[w].Left
-			}
-			if blk.IsGround[w+1] {
-				c += caps[w].Right
-			}
-			nl.AddC(fmt.Sprintf("w%d.c%d", w, k), to, netlist.Ground, c*s.Length/float64(n))
-			if !blk.IsGround[w+1] {
-				// Coupling capacitor to the right live neighbour's
-				// co-located node (added once per adjacent pair).
-				right := node(w+1, k+1)
-				if k == n-1 {
-					right = endNode(w + 1)
-				}
-				nl.AddC(fmt.Sprintf("cc%d.%d", w, k), to, right, caps[w].Right*s.Length/float64(n))
-			}
-		}
-	}
-	// Full inductive coupling.
-	for i := 0; i < len(bars); i++ {
-		for j := i + 1; j < len(bars); j++ {
-			if m := lp.At(i, j); m != 0 {
-				nl.AddK(fmt.Sprintf("k.%d.%d", i, j), inds[i], inds[j], m)
-			}
-		}
+	if err := e.AddPartialWires(nl, "bus", wires, s.Sections, false); err != nil {
+		return nil, err
 	}
 	// Drivers and loads.
 	for sig := 0; sig < s.N; sig++ {

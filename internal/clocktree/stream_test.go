@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -420,16 +421,37 @@ func settleGoroutines(t *testing.T, baseline int) {
 	}
 }
 
-// TestArrivalsCancellationLeakFree pins satellite 3: cancelling a
-// mid-tree walk returns promptly with the context error and leaks no
-// goroutines.
+// cancelAtSpan calls cancel when the n-th span named name starts.
+type cancelAtSpan struct {
+	name   string
+	n      int64
+	seen   atomic.Int64
+	cancel context.CancelFunc
+}
+
+func (s *cancelAtSpan) Emit(e *obs.Event) {
+	if e.Type == obs.EventSpanStart && e.Name == s.name && s.seen.Add(1) == s.n {
+		s.cancel()
+	}
+}
+
+func (*cancelAtSpan) Flush() error { return nil }
+
+// TestArrivalsCancellationLeakFree: cancelling a mid-tree walk returns
+// promptly with the context error and leaks no goroutines. The cancel
+// comes when the second transient starts, so it lands inside a running
+// transient (whose step loop checks the context every 64 steps) at the
+// same point of the walk on a fast host and a slow one.
 func TestArrivalsCancellationLeakFree(t *testing.T) {
 	tr := testTree(t, 3)
 	baseline := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
-	time.AfterFunc(5*time.Millisecond, cancel)
+	defer cancel()
+	sink := &cancelAtSpan{name: "sim.transient", n: 2, cancel: cancel}
+	obs.Default().AddSink(sink)
 	start := time.Now()
 	_, err := tr.ArrivalsCtx(ctx, SimOptions{WithL: true, NoStageDedup: true})
+	obs.Default().RemoveSink(sink)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}

@@ -243,7 +243,6 @@ func NewExtractorCtx(ctx context.Context, tech Technology, freq float64, axes ta
 		if err != nil {
 			return nil, fmt.Errorf("core: building %v tables: %w", sh, err)
 		}
-		set.Lookup = e.lookup
 		// The build/load paths already audit under the process-wide
 		// engine; a WithChecks override audits again under its own
 		// policy (e.g. Strict here while the process runs Warn).
@@ -252,7 +251,9 @@ func NewExtractorCtx(ctx context.Context, tech Technology, freq float64, axes ta
 				return nil, fmt.Errorf("core: auditing %v tables: %w", sh, err)
 			}
 		}
-		e.tables[sh] = set
+		// A coalesced cache miss shares the leader's set: the policy
+		// goes on a header copy, never into the shared set.
+		e.tables[sh] = set.WithLookup(e.lookup)
 	}
 	return e, nil
 }
@@ -598,10 +599,6 @@ type PartialOptions struct {
 
 // PartialNetlistOpts is PartialNetlist with explicit options.
 func (e *Extractor) PartialNetlistOpts(nl *netlist.Netlist, prefix, from, to string, s Segment, opts PartialOptions) error {
-	sections := opts.Sections
-	if sections < 1 {
-		return fmt.Errorf("core: need at least one section, got %d", sections)
-	}
 	if s.Shielding != geom.ShieldNone {
 		return fmt.Errorf("core: partial formulation models no-plane blocks; got %v", s.Shielding)
 	}
@@ -609,75 +606,113 @@ func (e *Extractor) PartialNetlistOpts(nl *netlist.Netlist, prefix, from, to str
 	if err != nil {
 		return err
 	}
-	caps, err := capmodel.BlockCaps(blk, e.Tech.CapHeight, e.Tech.EpsRel)
-	if err != nil {
-		return err
+	c := opts.CapOverride
+	if c <= 0 {
+		if c, err = e.SegmentCap(s); err != nil {
+			return err
+		}
 	}
+	return e.AddPartialWires(nl, prefix, []PartialWire{
+		{Name: "g1", Bar: peec.BarFromTrace(blk.Traces[0]), Ground: true},
+		{Name: "sig", Bar: peec.BarFromTrace(blk.Traces[1]), From: from, To: to, C: c},
+		{Name: "g2", Bar: peec.BarFromTrace(blk.Traces[2]), Ground: true},
+	}, opts.Sections, opts.EndBondsOnly)
+}
 
-	// Section every trace into collinear bars: bar index = wire*sections + k.
-	nWires := len(blk.Traces)
-	secLen := s.Length / float64(sections)
-	bars := make([]peec.Bar, 0, nWires*sections)
-	for _, tr := range blk.Traces {
-		full := peec.BarFromTrace(tr)
+// PartialWire is one wire of a sectioned PEEC netlist (AddPartialWires).
+type PartialWire struct {
+	// Name labels the wire's internal nodes and elements.
+	Name string
+	// Bar is the whole wire, running along x.
+	Bar peec.Bar
+	// Ground marks an AC-ground wire, bonded to the circuit ground
+	// rail; its end nodes are internal.
+	Ground bool
+	// From and To are a signal's near- and far-end nodes.
+	From, To string
+	// C is a signal's total capacitance to ground; CNext its total
+	// coupling capacitance to the next wire's co-located section nodes.
+	C, CNext float64
+}
+
+// AddPartialWires stamps parallel wires into nl as the Section II
+// sectioned PEEC netlist: every wire is cut into `sections` collinear
+// bars, the partial-inductance matrix of all the bars is computed with
+// the field engine, and every bar becomes an R–L branch (AC resistance
+// at the extractor's frequency) with a mutual K to every other bar,
+// collinear same-wire couplings included. A signal's C and CNext are
+// spread evenly over its section ends. A ground wire is bonded to the
+// rail at its near end and at every section junction, or with
+// endBondsOnly at its far end only. Internal nodes and element names
+// are prefixed with prefix.
+func (e *Extractor) AddPartialWires(nl *netlist.Netlist, prefix string, wires []PartialWire, sections int, endBondsOnly bool) error {
+	if sections < 1 {
+		return fmt.Errorf("core: need at least one section, got %d", sections)
+	}
+	if n := len(wires); n > 0 && wires[n-1].CNext != 0 {
+		return fmt.Errorf("core: last wire %q has no next wire to couple to", wires[n-1].Name)
+	}
+	// Bar index = wire*sections + k.
+	bars := make([]peec.Bar, 0, len(wires)*sections)
+	for _, w := range wires {
+		secLen := w.Bar.L / float64(sections)
 		for k := 0; k < sections; k++ {
-			b := full
-			b.O[0] = full.O[0] + float64(k)*secLen
+			b := w.Bar
+			b.O[0] = w.Bar.O[0] + float64(k)*secLen
 			b.L = secLen
 			bars = append(bars, b)
 		}
 	}
 	lp := peec.PartialMatrix(bars)
 
+	// end names wire i's node at the far end of section k; a ground
+	// wire keeps a distinct far-end node.
+	end := func(i, k int) string {
+		if k == sections-1 && !wires[i].Ground {
+			return wires[i].To
+		}
+		return fmt.Sprintf("%s.%s.n%d", prefix, wires[i].Name, k+1)
+	}
 	const bondR = 1e-3
-	wireNames := []string{"g1", "sig", "g2"}
 	inds := make([]int, len(bars))
-	for wi, tr := range blk.Traces {
-		name := wireNames[wi]
-		isSig := wi == 1
-		rWire, err := resist.ACSkinArea(s.Length, tr.Width, e.Tech.Thickness, e.Tech.Rho, e.Frequency)
+	for i, w := range wires {
+		r, err := resist.ACSkinArea(w.Bar.L, w.Bar.W, e.Tech.Thickness, e.Tech.Rho, e.Frequency)
 		if err != nil {
 			return err
 		}
-		var cSec float64
-		if isSig {
-			cSec = caps[wi].Total() * s.Length / float64(sections)
-			if opts.CapOverride > 0 {
-				cSec = opts.CapOverride / float64(sections)
-			}
-		}
-		prev := from
-		if !isSig {
-			prev = fmt.Sprintf("%s.%s.end0", prefix, name)
-			nl.AddR(fmt.Sprintf("%s.%s.bond0", prefix, name), prev, netlist.Ground, bondR)
+		name := prefix + "." + w.Name
+		prev := w.From
+		if w.Ground {
+			prev = name + ".end0"
+			nl.AddR(name+".bond0", prev, netlist.Ground, bondR)
 		}
 		for k := 0; k < sections; k++ {
-			bi := wi*sections + k
-			end := fmt.Sprintf("%s.%s.n%d", prefix, name, k+1)
-			if k == sections-1 {
-				if isSig {
-					end = to
-				} // ground wires keep their distinct far-end node
+			bi := i*sections + k
+			to := end(i, k)
+			mid := fmt.Sprintf("%s.m%d", name, k)
+			nl.AddR(fmt.Sprintf("%s.r%d", name, k), prev, mid, r/float64(sections))
+			inds[bi] = nl.AddL(fmt.Sprintf("%s.l%d", name, k), mid, to, lp.At(bi, bi))
+			if w.Ground {
+				if !endBondsOnly || k == sections-1 {
+					nl.AddR(fmt.Sprintf("%s.bond%d", name, k+1), to, netlist.Ground, bondR)
+				}
+			} else {
+				if w.C > 0 {
+					nl.AddC(fmt.Sprintf("%s.c%d", name, k), to, netlist.Ground, w.C/float64(sections))
+				}
+				if w.CNext > 0 {
+					nl.AddC(fmt.Sprintf("%s.cc%d", name, k), to, end(i+1, k), w.CNext/float64(sections))
+				}
 			}
-			mid := fmt.Sprintf("%s.%s.m%d", prefix, name, k)
-			nl.AddR(fmt.Sprintf("%s.%s.r%d", prefix, name, k), prev, mid, rWire/float64(sections))
-			inds[bi] = nl.AddL(fmt.Sprintf("%s.%s.l%d", prefix, name, k), mid, end, lp.At(bi, bi))
-			if isSig {
-				nl.AddC(fmt.Sprintf("%s.%s.c%d", prefix, name, k), end, netlist.Ground, cSec)
-			} else if !opts.EndBondsOnly || k == sections-1 {
-				nl.AddR(fmt.Sprintf("%s.%s.bond%d", prefix, name, k+1), end, netlist.Ground, bondR)
-			}
-			prev = end
+			prev = to
 		}
 	}
 	// Full mutual coupling: K for every bar pair.
 	for i := 0; i < len(bars); i++ {
 		for j := i + 1; j < len(bars); j++ {
-			m := lp.At(i, j)
-			if m == 0 {
-				continue
+			if m := lp.At(i, j); m != 0 {
+				nl.AddK(fmt.Sprintf("%s.k.%d.%d", prefix, i, j), inds[i], inds[j], m)
 			}
-			nl.AddK(fmt.Sprintf("%s.k.%d.%d", prefix, i, j), inds[i], inds[j], m)
 		}
 	}
 	return nil

@@ -7,6 +7,7 @@ import (
 	"clockrlc/internal/geom"
 	"clockrlc/internal/netlist"
 	"clockrlc/internal/obs"
+	"clockrlc/internal/peec"
 	"clockrlc/internal/sim"
 	"clockrlc/internal/table"
 	"clockrlc/internal/units"
@@ -379,5 +380,22 @@ func TestStriplineOrdering(t *testing.T) {
 	}
 	if rel := math.Abs(composed-direct) / direct; !(rel <= 0.15) {
 		t.Errorf("stripline composition %g vs direct %g (rel %g)", composed, direct, rel)
+	}
+}
+
+// The builder refuses what it cannot stamp: no sections, and a
+// coupling capacitance on the last wire, which has no next wire.
+func TestAddPartialWiresValidation(t *testing.T) {
+	e := &Extractor{Tech: testTech(), Frequency: fsig}
+	sig := PartialWire{
+		Name: "s", From: "a", To: "b", C: 1e-13,
+		Bar: peec.Bar{Axis: peec.AxisX, L: units.Um(100), W: units.Um(2), T: units.Um(2)},
+	}
+	if err := e.AddPartialWires(netlist.New(), "p", []PartialWire{sig}, 0, false); err == nil {
+		t.Error("accepted zero sections")
+	}
+	sig.CNext = 1e-14
+	if err := e.AddPartialWires(netlist.New(), "p", []PartialWire{sig}, 2, false); err == nil {
+		t.Error("accepted a coupling capacitance on the last wire")
 	}
 }

@@ -9,9 +9,11 @@ import (
 	"errors"
 	"math"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"clockrlc/internal/fault"
 	"clockrlc/internal/geom"
 	"clockrlc/internal/obs"
 	"clockrlc/internal/table"
@@ -160,5 +162,76 @@ func TestBatchRejectsInvalidSegmentWithIndex(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "segment 1") {
 		t.Fatalf("error %q does not name the failing segment index", err)
+	}
+}
+
+// Two extractors that miss one cache key at the same time share the
+// leader's table set. Each must still hold its own lookup policy: the
+// policy goes on a header copy, not into the shared set, where the
+// two writes would race and the last one win for both.
+func TestCoalescedExtractorsKeepTheirLookupPolicy(t *testing.T) {
+	cache, err := table.NewCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	axes := table.Axes{
+		Widths:   table.LogAxis(units.Um(1), units.Um(4), 2),
+		Spacings: table.LogAxis(units.Um(1), units.Um(2), 2),
+		Lengths:  table.LogAxis(units.Um(100), units.Um(1000), 3),
+	}
+	// Slow solves keep the leader's sweep running while the other
+	// extractor misses the same key and joins its flight.
+	fault.Register(fault.NewInjector(1, fault.Rule{
+		Point: fault.SolverCall, Mode: fault.ModeLatency, Prob: 1, Delay: 20 * time.Millisecond,
+	}))
+	defer fault.Reset()
+	coalesced := obs.GetCounter("table.cache_coalesced")
+	c0 := coalesced.Value()
+
+	policies := []table.LookupPolicy{table.LookupError, table.LookupExtrapolate}
+	exts := make([]*Extractor, len(policies))
+	errs := make([]error, len(policies))
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i, p := range policies {
+		opts := []Option{WithTableCache(cache)}
+		if p != table.LookupExtrapolate { // the other extractor keeps the default
+			opts = append(opts, WithLookupPolicy(p))
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			exts[i], errs[i] = NewExtractorCtx(context.Background(), testTech(), fsig, axes,
+				[]geom.Shielding{geom.ShieldNone}, opts...)
+		}()
+	}
+	close(start)
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("extractor %d: %v", i, err)
+		}
+	}
+	if got := coalesced.Value() - c0; got != 1 {
+		t.Fatalf("table.cache_coalesced += %d, want 1: the builds did not share one flight", got)
+	}
+
+	outside := Segment{
+		Length: units.Um(1500), SignalWidth: units.Um(2), GroundWidth: units.Um(2),
+		Spacing: units.Um(1.5), Shielding: geom.ShieldNone,
+	}
+	for i, p := range policies {
+		set, err := exts[i].Tables(geom.ShieldNone)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if set.Lookup != p {
+			t.Errorf("extractor %d: set policy %v, want its own %v", i, set.Lookup, p)
+		}
+		_, err = exts[i].LoopL(outside)
+		if got, want := errors.Is(err, table.ErrOutOfRange), p == table.LookupError; got != want {
+			t.Errorf("extractor %d (%v): LoopL outside the axes gave %v; ErrOutOfRange %v, want %v", i, p, err, got, want)
+		}
 	}
 }

@@ -141,6 +141,20 @@ func (s Shielding) String() string {
 	}
 }
 
+// ParseShielding is the inverse of Shielding.String: it reads
+// "coplanar", "microstrip" or "stripline".
+func ParseShielding(s string) (Shielding, error) {
+	switch s {
+	case "coplanar":
+		return ShieldNone, nil
+	case "microstrip":
+		return ShieldMicrostrip, nil
+	case "stripline":
+		return ShieldStripline, nil
+	}
+	return 0, fmt.Errorf("bad shielding %q (want coplanar, microstrip or stripline)", s)
+}
+
 // Block is the extraction unit of Fig. 4: n coplanar traces of equal
 // length in one layer, the two outermost of which are dedicated AC
 // ground traces, optionally with ground planes above/below.

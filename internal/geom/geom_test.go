@@ -212,3 +212,16 @@ func TestX1AndArea(t *testing.T) {
 		t.Errorf("area = %g", tr.CrossSectionArea())
 	}
 }
+
+func TestParseShieldingInvertsString(t *testing.T) {
+	for _, sh := range []Shielding{ShieldNone, ShieldMicrostrip, ShieldStripline} {
+		if got, err := ParseShielding(sh.String()); err != nil || got != sh {
+			t.Errorf("ParseShielding(%q) = %v, %v; want %v", sh.String(), got, err, sh)
+		}
+	}
+	for _, bad := range []string{"", "waveguide", "Coplanar", Shielding(42).String()} {
+		if _, err := ParseShielding(bad); err == nil {
+			t.Errorf("ParseShielding(%q) accepted an unknown name", bad)
+		}
+	}
+}

@@ -45,25 +45,27 @@ type Fig23Result struct {
 	CalibratedPartial Fig23Variant
 }
 
-// fig23Run simulates one RC-vs-RLC pair for the given segment totals.
-func fig23Run(seg netlist.SegmentRLC) (*Fig23Variant, error) {
-	run := func(s netlist.SegmentRLC) (*sim.Result, error) {
+// fig23Run simulates the Fig. 1 net's RC baseline, seg's R and C as a
+// 10-section ladder without L, against the RLC netlist that stampRLC
+// lays between the driver output "in" and the sink "out".
+func fig23Run(seg netlist.SegmentRLC, stampRLC func(*netlist.Netlist) error) (*Fig23Variant, error) {
+	run := func(stamp func(*netlist.Netlist) error) (*sim.Result, error) {
 		nl := netlist.New()
 		nl.AddV("vsrc", "drv", netlist.Ground, netlist.Ramp{V0: 0, V1: Vdd, Start: 10e-12, Rise: RiseTime})
 		nl.AddR("rdrv", "drv", "in", DriverRes)
-		if _, err := nl.AddLadder("net", "in", "out", s, 10); err != nil {
+		if err := stamp(nl); err != nil {
 			return nil, err
 		}
 		nl.AddC("cl", "out", netlist.Ground, SinkCap)
 		return sim.Transient(nl, 0.25e-12, 1000e-12, []string{"in", "out"})
 	}
-	rcSeg := seg
-	rcSeg.L = 0
-	resRC, err := run(rcSeg)
+	rc := seg
+	rc.L = 0
+	resRC, err := run(fig23Ladder(rc))
 	if err != nil {
 		return nil, err
 	}
-	resRLC, err := run(seg)
+	resRLC, err := run(stampRLC)
 	if err != nil {
 		return nil, err
 	}
@@ -91,6 +93,14 @@ func fig23Run(seg netlist.SegmentRLC) (*Fig23Variant, error) {
 	return v, nil
 }
 
+// fig23Ladder stamps seg as a 10-section ladder between "in" and "out".
+func fig23Ladder(seg netlist.SegmentRLC) func(*netlist.Netlist) error {
+	return func(nl *netlist.Netlist) error {
+		_, err := nl.AddLadder("net", "in", "out", seg, 10)
+		return err
+	}
+}
+
 // Fig23 runs E1 with the given extractor.
 func Fig23(e *core.Extractor) (*Fig23Result, error) {
 	seg := Fig1Segment()
@@ -99,79 +109,32 @@ func Fig23(e *core.Extractor) (*Fig23Result, error) {
 		return nil, err
 	}
 	out := &Fig23Result{RLC: rlc}
-	ext, err := fig23Run(rlc)
+	ext, err := fig23Run(rlc, fig23Ladder(rlc))
 	if err != nil {
 		return nil, err
 	}
 	out.Extracted = *ext
 	cal := rlc
 	cal.C = CalibratedLineCap
-	calv, err := fig23Run(cal)
+	calv, err := fig23Run(cal, fig23Ladder(cal))
 	if err != nil {
 		return nil, err
 	}
 	out.Calibrated = *calv
-	part, err := fig23PartialRun(e, seg, cal)
+	// The end-bonded sectioned-PEEC netlist at the calibrated line
+	// capacitance, against the same RC baseline.
+	part, err := fig23Run(cal, func(nl *netlist.Netlist) error {
+		return e.PartialNetlistOpts(nl, "net", "in", "out", seg, core.PartialOptions{
+			Sections:     10,
+			EndBondsOnly: true,
+			CapOverride:  cal.C,
+		})
+	})
 	if err != nil {
 		return nil, err
 	}
 	out.CalibratedPartial = *part
 	return out, nil
-}
-
-// fig23PartialRun simulates the calibrated RC baseline against the
-// end-bonded sectioned-PEEC netlist.
-func fig23PartialRun(e *core.Extractor, seg core.Segment, cal netlist.SegmentRLC) (*Fig23Variant, error) {
-	mk := func(withL bool) (*sim.Result, error) {
-		nl := netlist.New()
-		nl.AddV("vsrc", "drv", netlist.Ground, netlist.Ramp{V0: 0, V1: Vdd, Start: 10e-12, Rise: RiseTime})
-		nl.AddR("rdrv", "drv", "in", DriverRes)
-		if withL {
-			err := e.PartialNetlistOpts(nl, "net", "in", "out", seg, core.PartialOptions{
-				Sections:     10,
-				EndBondsOnly: true,
-				CapOverride:  cal.C,
-			})
-			if err != nil {
-				return nil, err
-			}
-		} else {
-			rc := cal
-			rc.L = 0
-			if _, err := nl.AddLadder("net", "in", "out", rc, 10); err != nil {
-				return nil, err
-			}
-		}
-		nl.AddC("cl", "out", netlist.Ground, SinkCap)
-		return sim.Transient(nl, 0.25e-12, 1000e-12, []string{"in", "out"})
-	}
-	resRC, err := mk(false)
-	if err != nil {
-		return nil, err
-	}
-	resRLC, err := mk(true)
-	if err != nil {
-		return nil, err
-	}
-	v := &Fig23Variant{Time: resRC.Time}
-	v.InRC, _ = resRC.Waveform("in")
-	v.OutRC, _ = resRC.Waveform("out")
-	v.InRLC, _ = resRLC.Waveform("in")
-	v.OutRLC, _ = resRLC.Waveform("out")
-	t0 := 10e-12 + RiseTime/2
-	dRC, err := sim.DelayFromT0(v.Time, v.OutRC, 0, Vdd)
-	if err != nil {
-		return nil, err
-	}
-	dRLC, err := sim.DelayFromT0(v.Time, v.OutRLC, 0, Vdd)
-	if err != nil {
-		return nil, err
-	}
-	v.DelayRC = dRC - t0
-	v.DelayRLC = dRLC - t0
-	v.OvershootRLC, v.UndershootRLC = sim.Overshoot(v.OutRLC, 0, Vdd)
-	v.OvershootRC, _ = sim.Overshoot(v.OutRC, 0, Vdd)
-	return v, nil
 }
 
 // Fig5Result is experiment E2: the loop inductance matrix of a 5-trace

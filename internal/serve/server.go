@@ -521,16 +521,13 @@ func (s *Server) tableConfig(sh geom.Shielding, freq float64) table.Config {
 	}
 }
 
+// parseShielding reads a request's shielding name; an empty one is
+// coplanar.
 func parseShielding(s string) (geom.Shielding, error) {
-	switch s {
-	case "", "coplanar":
+	if s == "" {
 		return geom.ShieldNone, nil
-	case "microstrip":
-		return geom.ShieldMicrostrip, nil
-	case "stripline":
-		return geom.ShieldStripline, nil
 	}
-	return 0, fmt.Errorf("bad shielding %q (want coplanar, microstrip or stripline)", s)
+	return geom.ParseShielding(s)
 }
 
 func toResult(rlc netlist.SegmentRLC) SegmentResult {

@@ -6,8 +6,9 @@
 // width shield that coupling.
 //
 // A scenario places an aggressor wire beyond one ground shield of the
-// victim's coplanar waveguide. All four wires are sectioned into PEEC
-// bars with the full partial-inductance coupling matrix; the aggressor
+// victim's coplanar waveguide. All four wires go to core's
+// sectioned-PEEC builder (Extractor.AddPartialWires), which couples
+// their bars through the full partial-inductance matrix; the aggressor
 // switches while the victim's driver holds low, and the victim sink's
 // peak noise is measured with the MNA simulator. Capacitive coupling
 // from aggressor to victim is blocked by the grounded shield (the
@@ -24,7 +25,6 @@ import (
 	"clockrlc/internal/core"
 	"clockrlc/internal/netlist"
 	"clockrlc/internal/peec"
-	"clockrlc/internal/resist"
 	"clockrlc/internal/sim"
 )
 
@@ -98,7 +98,7 @@ func Run(e *core.Extractor, sc Scenario) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	caps, err := capmodel.BlockCaps(blk, e.Tech.CapHeight, e.Tech.EpsRel)
+	vicCap, err := e.SegmentCap(sc.Victim)
 	if err != nil {
 		return nil, err
 	}
@@ -114,40 +114,35 @@ func Run(e *core.Extractor, sc Scenario) (*Result, error) {
 		return nil, err
 	}
 
-	// Bars: g1, victim, g2 from the block, plus the aggressor beyond
-	// g2 — or just victim + aggressor for the unshielded comparison.
-	var bars []peec.Bar
-	var aggY float64
-	zBottom := blk.Traces[0].Z - blk.Traces[0].Thickness/2
+	// Wires: g1, victim, g2 from the block, plus the aggressor beyond
+	// g2 — or just victim + aggressor for the unshielded comparison,
+	// where the victim keeps its total (grounded-coupling) capacitance
+	// and the shields are simply absent from the inductive system.
+	g1, vic, g2 := blk.Traces[0], blk.Traces[1], blk.Traces[2]
+	outer := g2
 	if sc.Unshielded {
-		vic := blk.Traces[1]
-		aggY = vic.Y + vic.Width/2 + sc.AggressorSpacing + sc.AggressorWidth/2
-		bars = append(bars, peec.BarFromTrace(vic))
-	} else {
-		g2 := blk.Traces[2]
-		aggY = g2.Y + g2.Width/2 + sc.AggressorSpacing + sc.AggressorWidth/2
-		for _, tr := range blk.Traces {
-			bars = append(bars, peec.BarFromTrace(tr))
+		outer = vic
+	}
+	aggY := outer.Y + outer.Width/2 + sc.AggressorSpacing + sc.AggressorWidth/2
+	victim := core.PartialWire{Name: "v", Bar: peec.BarFromTrace(vic), From: "v.in", To: "v.out", C: vicCap}
+	aggressor := core.PartialWire{
+		Name: "a",
+		Bar: peec.Bar{
+			Axis: peec.AxisX,
+			O:    [3]float64{0, aggY - sc.AggressorWidth/2, g1.Z - g1.Thickness/2},
+			L:    sc.Victim.Length, W: sc.AggressorWidth, T: e.Tech.Thickness,
+		},
+		From: "a.in", To: "a.out", C: (aggGround + aggCouple) * sc.Victim.Length,
+	}
+	wires := []core.PartialWire{victim, aggressor}
+	if !sc.Unshielded {
+		wires = []core.PartialWire{
+			{Name: "g1", Bar: peec.BarFromTrace(g1), Ground: true},
+			victim,
+			{Name: "g2", Bar: peec.BarFromTrace(g2), Ground: true},
+			aggressor,
 		}
 	}
-	bars = append(bars, peec.Bar{
-		Axis: peec.AxisX,
-		O:    [3]float64{0, aggY - sc.AggressorWidth/2, zBottom},
-		L:    sc.Victim.Length, W: sc.AggressorWidth, T: e.Tech.Thickness,
-	})
-
-	n := sc.Sections
-	secLen := sc.Victim.Length / float64(n)
-	var secBars []peec.Bar
-	for _, b := range bars {
-		for k := 0; k < n; k++ {
-			s := b
-			s.O[0] = b.O[0] + float64(k)*secLen
-			s.L = secLen
-			secBars = append(secBars, s)
-		}
-	}
-	lp := peec.PartialMatrix(secBars)
 
 	nl := netlist.New()
 	// Victim driver holds low through its output resistance; the
@@ -156,75 +151,8 @@ func Run(e *core.Extractor, sc Scenario) (*Result, error) {
 	nl.AddR("ragg", "adrv", "a.in", sc.DriverRes)
 	nl.AddV("vvic", "vdrv", netlist.Ground, netlist.DC(0))
 	nl.AddR("rvic", "vdrv", "v.in", sc.DriverRes)
-
-	type wire struct {
-		name     string
-		from, to string
-		rTotal   float64
-		cPerSec  float64
-		grounded bool
-	}
-	rOf := func(w float64) (float64, error) {
-		return resist.ACSkinArea(sc.Victim.Length, w, e.Tech.Thickness, e.Tech.Rho, e.Frequency)
-	}
-	rG, err := rOf(sc.Victim.GroundWidth)
-	if err != nil {
+	if err := e.AddPartialWires(nl, "xt", wires, sc.Sections, false); err != nil {
 		return nil, err
-	}
-	rV, err := rOf(sc.Victim.SignalWidth)
-	if err != nil {
-		return nil, err
-	}
-	rA, err := rOf(sc.AggressorWidth)
-	if err != nil {
-		return nil, err
-	}
-	vWire := wire{"v", "v.in", "v.out", rV, caps[1].Total() * sc.Victim.Length / float64(n), false}
-	aWire := wire{"a", "a.in", "a.out", rA, (aggGround + aggCouple) * sc.Victim.Length / float64(n), false}
-	var wires []wire
-	if sc.Unshielded {
-		// The victim keeps its total (grounded-coupling) capacitance;
-		// the shields are simply absent from the inductive system.
-		wires = []wire{vWire, aWire}
-	} else {
-		wires = []wire{
-			{"g1", "", "", rG, 0, true},
-			vWire,
-			{"g2", "", "", rG, 0, true},
-			aWire,
-		}
-	}
-	const bondR = 1e-3
-	inds := make([]int, len(secBars))
-	for wi, w := range wires {
-		prev := w.from
-		if w.grounded {
-			prev = fmt.Sprintf("%s.end0", w.name)
-			nl.AddR(w.name+".bond0", prev, netlist.Ground, bondR)
-		}
-		for k := 0; k < n; k++ {
-			bi := wi*n + k
-			end := fmt.Sprintf("%s.n%d", w.name, k+1)
-			if k == n-1 && !w.grounded {
-				end = w.to
-			}
-			mid := fmt.Sprintf("%s.m%d", w.name, k)
-			nl.AddR(fmt.Sprintf("%s.r%d", w.name, k), prev, mid, w.rTotal/float64(n))
-			inds[bi] = nl.AddL(fmt.Sprintf("%s.l%d", w.name, k), mid, end, lp.At(bi, bi))
-			if w.grounded {
-				nl.AddR(fmt.Sprintf("%s.bond%d", w.name, k+1), end, netlist.Ground, bondR)
-			} else if w.cPerSec > 0 {
-				nl.AddC(fmt.Sprintf("%s.c%d", w.name, k), end, netlist.Ground, w.cPerSec)
-			}
-			prev = end
-		}
-	}
-	for i := 0; i < len(secBars); i++ {
-		for j := i + 1; j < len(secBars); j++ {
-			if m := lp.At(i, j); m != 0 {
-				nl.AddK(fmt.Sprintf("k.%d.%d", i, j), inds[i], inds[j], m)
-			}
-		}
 	}
 	nl.AddC("clv", "v.out", netlist.Ground, sc.LoadCap)
 	nl.AddC("cla", "a.out", netlist.Ground, sc.LoadCap)
