@@ -78,9 +78,10 @@ bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$'
 
 # bench-sim is the MNA factor/step microbenchmark: one clock-tree
-# stage transient (RC and RLC) run to the full horizon and stopped at
-# the last sink crossing, plus LU factor and solve, with allocation
-# counts.
+# stage transient (RC and RLC), compiled and run to the full horizon
+# and to the last sink crossing, the same stage rerun on its compiled
+# circuit with new sink loads (what a stage of a known topology costs
+# a tree analysis), plus LU factor and solve, with allocation counts.
 bench-sim:
 	$(GO) test -run '^$$' -bench 'Transient|Crossings|Factor' -benchmem ./internal/sim ./internal/linalg
 

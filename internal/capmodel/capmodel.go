@@ -139,15 +139,20 @@ func traceCaps(b *geom.Block, i int, h, epsRel float64) (TraceCaps, error) {
 	if c.Ground, err = groundCap(tr.Width, tr.Thickness, h, epsRel, tt); err != nil {
 		return TraceCaps{}, err
 	}
+	var left float64
 	if i > 0 {
-		s := tr.EdgeToEdgeSpacing(b.Traces[i-1])
-		if c.Left, err = couplingCap(tr.Width, tr.Thickness, h, s, epsRel, tt); err != nil {
+		left = tr.EdgeToEdgeSpacing(b.Traces[i-1])
+		if c.Left, err = couplingCap(tr.Width, tr.Thickness, h, left, epsRel, tt); err != nil {
 			return TraceCaps{}, err
 		}
 	}
 	if i < len(b.Traces)-1 {
 		s := tr.EdgeToEdgeSpacing(b.Traces[i+1])
-		if c.Right, err = couplingCap(tr.Width, tr.Thickness, h, s, epsRel, tt); err != nil {
+		if i > 0 && s == left {
+			// A symmetric block (every geom building block's signal
+			// trace): the same spacing gives the same coupling.
+			c.Right = c.Left
+		} else if c.Right, err = couplingCap(tr.Width, tr.Thickness, h, s, epsRel, tt); err != nil {
 			return TraceCaps{}, err
 		}
 	}

@@ -233,3 +233,56 @@ func TestTraceCapsOfMatchesDirectCalls(t *testing.T) {
 		}
 	}
 }
+
+// The signal trace of every geom building block sits midway between
+// its grounds, so its two couplings are one value, bit for bit what a
+// direct CouplingCap call gives for either spacing; a block with
+// unequal spacings still computes each side.
+func TestSymmetricBlockSharesCoupling(t *testing.T) {
+	var st geom.BlockStorage
+	h := units.Um(2)
+	coupling := func(b geom.Block, i, j int) float64 {
+		tr := b.Traces[i]
+		c, err := CouplingCap(tr.Width, tr.Thickness, h, tr.EdgeToEdgeSpacing(b.Traces[j]), units.EpsSiO2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	bits := math.Float64bits
+	for _, g := range []struct{ w, gw, s float64 }{{1, 1, 0.8}, {10, 5, 1}, {2.3, 7.1, 3.7}, {0.6, 12, 0.05}} {
+		w, gw, s, th := units.Um(g.w), units.Um(g.gw), units.Um(g.s), units.Um(1)
+		for name, b := range map[string]geom.Block{
+			"coplanar":   st.Coplanar(units.Um(500), w, gw, s, th, 0, units.RhoCopper),
+			"microstrip": st.Microstrip(units.Um(500), w, gw, s, th, 0, units.RhoCopper, units.Um(2), units.Um(1)),
+			"stripline":  st.Stripline(units.Um(500), w, gw, s, th, 0, units.RhoCopper, units.Um(2), units.Um(1)),
+		} {
+			got, err := TraceCapsOf(&b, 1, h, units.EpsSiO2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			left, right := coupling(b, 1, 0), coupling(b, 1, 2)
+			if bits(got.Left) != bits(got.Right) || bits(got.Left) != bits(left) || bits(got.Right) != bits(right) {
+				t.Errorf("%s %+v: Left %v, Right %v; direct calls %v, %v", name, g, got.Left, got.Right, left, right)
+			}
+		}
+	}
+
+	b := geom.Block{
+		Traces: []geom.Trace{
+			{Y: -units.Um(4), Length: units.Um(500), Width: units.Um(2), Thickness: units.Um(1)},
+			{Y: 0, Length: units.Um(500), Width: units.Um(2), Thickness: units.Um(1)},
+			{Y: units.Um(7), Length: units.Um(500), Width: units.Um(2), Thickness: units.Um(1)},
+		},
+		IsGround: []bool{true, false, true},
+		Rho:      units.RhoCopper,
+	}
+	got, err := TraceCapsOf(&b, 1, h, units.EpsSiO2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	left, right := coupling(b, 1, 0), coupling(b, 1, 2)
+	if bits(got.Left) != bits(left) || bits(got.Right) != bits(right) || got.Left == got.Right {
+		t.Errorf("asymmetric block: Left %v, Right %v; direct calls %v, %v", got.Left, got.Right, left, right)
+	}
+}

@@ -173,6 +173,75 @@ var (
 	nominalLoads = [4]float64{1, 1, 1, 1}
 )
 
+// stageSinks are the probes of a stage circuit: its four sinks.
+var stageSinks = []string{"s0", "s1", "s2", "s3"}
+
+// stageTopo is what the structure of a stage's circuit depends on
+// within one analysis, whose options fix WithL and Sections: every
+// stage is a driver, two trunk ladders, four arm ladders and four sink
+// loads, and a ladder whose L/sections is 0 has no inductors.
+type stageTopo struct{ trunkL, armL bool }
+
+// ladderAt locates a ladder's elements in a stage netlist: its first
+// resistor, capacitor and inductor.
+type ladderAt struct{ r, c, l int }
+
+// stageCircuit is a stage netlist compiled once for its topology. Each
+// stage of that topology writes its own values into nl and reruns c.
+type stageCircuit struct {
+	nl       *netlist.Netlist
+	c        *sim.Circuit
+	sections int
+	inputCap float64     // the buffer input capacitance a sink load scales
+	ladders  [6]ladderAt // the trunks to L and R, then the arms to s0..s3
+	loads    [4]int      // the sink loads' capacitors
+}
+
+// newStageCircuit builds and compiles the stage netlist with the given
+// trunk, arm and sink-load values.
+func (t *Tree) newStageCircuit(opts SimOptions, trunk, arm netlist.SegmentRLC, loads [4]float64) (*stageCircuit, error) {
+	sc := &stageCircuit{nl: netlist.New(), sections: opts.Sections, inputCap: t.Buffer.InputCap}
+	nl := sc.nl
+	nl.AddV("vsrc", "drv", netlist.Ground, netlist.Ramp{V0: 0, V1: 1, Start: opts.TimeStep, Rise: t.Buffer.OutSlew})
+	nl.AddR("rdrv", "drv", "r", t.Buffer.DriveRes)
+	ladder := func(k int, prefix, from, to string, seg netlist.SegmentRLC) error {
+		sc.ladders[k] = ladderAt{len(nl.Resistors), len(nl.Capacitors), len(nl.Inductors)}
+		_, err := nl.AddLadder(prefix, from, to, seg, opts.Sections)
+		return err
+	}
+	if err := ladder(0, "tl", "r", "L", trunk); err != nil {
+		return nil, err
+	}
+	if err := ladder(1, "tr", "r", "R", trunk); err != nil {
+		return nil, err
+	}
+	splits := []string{"L", "L", "R", "R"}
+	for i, s := range stageSinks {
+		if err := ladder(2+i, "a"+s, splits[i], s, arm); err != nil {
+			return nil, err
+		}
+		sc.loads[i] = nl.AddC("c"+s, s, netlist.Ground, t.Buffer.InputCap*loads[i])
+	}
+	var err error
+	sc.c, err = sim.Compile(nl)
+	return sc, err
+}
+
+// set writes a stage's trunk, arm and sink-load values over the
+// circuit's.
+func (sc *stageCircuit) set(trunk, arm netlist.SegmentRLC, loads [4]float64) {
+	for k, at := range sc.ladders {
+		seg := arm
+		if k < 2 {
+			seg = trunk
+		}
+		sc.nl.SetLadder(at.r, at.c, at.l, seg, sc.sections)
+	}
+	for i, k := range sc.loads {
+		sc.nl.Capacitors[k].C = sc.inputCap * loads[i]
+	}
+}
+
 // simulateStage runs one buffer stage's transient: the driver at the
 // H centre, two trunk ladders, four arm ladders, four sink loads. It
 // returns the four sink 50 % arrival times measured from the stage's
@@ -182,7 +251,12 @@ var (
 // bit. scale multiplies the extracted R/C/L of every wire in the
 // stage; loads multiplies the four sink capacitances (1s for an
 // internal stage, whose sinks are the next level's buffer inputs).
-func (t *Tree) simulateStage(ctx context.Context, levelIdx int, stageID int64, opts SimOptions, scale [3]float64, loads [4]float64) ([4]float64, error) {
+//
+// The stage netlist is compiled once per topology in an analysis and
+// kept in the walker; a stage of a known topology only rewrites its
+// element values.
+func (w *walker) simulateStage(ctx context.Context, levelIdx int, stageID int64, scale [3]float64, loads [4]float64) ([4]float64, error) {
+	t, opts := w.tree, w.opts
 	var delays [4]float64
 	ctx, sp := obs.StartCtx(ctx, "clocktree.stage")
 	defer sp.End()
@@ -190,9 +264,6 @@ func (t *Tree) simulateStage(ctx context.Context, levelIdx int, stageID int64, o
 	sp.SetAttr("stage", stageID)
 	treeStages.Inc()
 	lv := t.Levels[levelIdx]
-	nl := netlist.New()
-	nl.AddV("vsrc", "drv", netlist.Ground, netlist.Ramp{V0: 0, V1: 1, Start: opts.TimeStep, Rise: t.Buffer.OutSlew})
-	nl.AddR("rdrv", "drv", "r", t.Buffer.DriveRes)
 
 	extract := func(length float64) (netlist.SegmentRLC, error) {
 		s := lv.Segment
@@ -220,27 +291,38 @@ func (t *Tree) simulateStage(ctx context.Context, levelIdx int, stageID int64, o
 	if err != nil {
 		return delays, err
 	}
-	if _, err := nl.AddLadder("tl", "r", "L", trunk, opts.Sections); err != nil {
+	// A bad scale fails here, as building the ladders would.
+	if err := trunk.Validate(); err != nil {
 		return delays, err
 	}
-	if _, err := nl.AddLadder("tr", "r", "R", trunk, opts.Sections); err != nil {
+	if err := arm.Validate(); err != nil {
 		return delays, err
 	}
-	sinks := []string{"s0", "s1", "s2", "s3"}
-	splits := []string{"L", "L", "R", "R"}
-	for i, s := range sinks {
-		if _, err := nl.AddLadder("a"+s, splits[i], s, arm, opts.Sections); err != nil {
-			return delays, err
-		}
-		nl.AddC("c"+s, s, netlist.Ground, t.Buffer.InputCap*loads[i])
-	}
-	times, err := sim.CrossingsCtx(ctx, nl, opts.TimeStep, opts.Horizon, sinks, 0.5, true)
-	if err != nil {
+	stageErr := func(err error) error {
 		var nc *sim.NoCrossingError
 		if errors.As(err, &nc) {
-			return delays, fmt.Errorf("clocktree: stage %d sink %s never switches (horizon too short?): %w", stageID, nc.Probe, err)
+			return fmt.Errorf("clocktree: stage %d sink %s never switches (horizon too short?): %w", stageID, nc.Probe, err)
 		}
-		return delays, fmt.Errorf("clocktree: stage %d (level %d): %w", stageID, levelIdx, err)
+		return fmt.Errorf("clocktree: stage %d (level %d): %w", stageID, levelIdx, err)
+	}
+	_, trunkL, _, _ := trunk.Section(opts.Sections)
+	_, armL, _, _ := arm.Section(opts.Sections)
+	topo := stageTopo{trunkL: trunkL > 0, armL: armL > 0}
+	sc := w.circuits[topo]
+	if sc == nil {
+		if sc, err = t.newStageCircuit(opts, trunk, arm, loads); err != nil {
+			return delays, stageErr(err)
+		}
+		if w.circuits == nil {
+			w.circuits = make(map[stageTopo]*stageCircuit)
+		}
+		w.circuits[topo] = sc
+	} else {
+		sc.set(trunk, arm, loads)
+	}
+	times, err := sc.c.CrossingsCtx(ctx, opts.TimeStep, opts.Horizon, stageSinks, 0.5, true)
+	if err != nil {
+		return delays, stageErr(err)
 	}
 	for i, d := range times {
 		// Remove the launch offset (the source starts one time step in).

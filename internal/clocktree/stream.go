@@ -219,6 +219,10 @@ type walker struct {
 	// observed counts leaves seen by *this process* (a resumed run
 	// inherits stats.Leaves but not observed) for the metrics counter.
 	observed int64
+
+	// circuits holds the analysis' compiled stage circuits by topology.
+	// It is derived: never checkpointed, rebuilt as stages need it.
+	circuits map[stageTopo]*stageCircuit
 }
 
 // stageDelays returns the four sink delays of a stage instance,
@@ -244,7 +248,7 @@ func (w *walker) stageDelays(ctx context.Context, level int, id int64, base int6
 			return d, nil
 		}
 	}
-	d, err := w.tree.simulateStage(ctx, level, id, w.opts, scale, loads)
+	d, err := w.simulateStage(ctx, level, id, scale, loads)
 	if err != nil {
 		return d, err
 	}

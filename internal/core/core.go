@@ -400,11 +400,15 @@ func checkLoopComposition(eng *check.Engine, s Segment, ls, lg, msg, mgg, lloop 
 // isolated 1-trace and 2-trace entries, so it cannot capture the
 // drive/return proximity crowding of the assembled loop. For
 // micron-gap shields at multi-GHz significant frequencies that
-// approximation costs up to ~10 % of loop inductance (it vanishes at
-// lower frequency or wider spacing); the interpolation itself is
-// accurate to ~1–2 % (see the table package tests). This is the
-// inherent envelope of the paper's method, of a kind with its own
-// Table I cascading errors.
+// approximation costs loop inductance 12.5 % in experiment E6 (at
+// 6.4 GHz), and the benchmark's 64 probe geometries read
+// loopl_err_pct_max 26.1 % on extract-batch and serve, 11.5 % on
+// tree-skew and 26.8 % on tree-deep. The error vanishes at lower
+// frequency or wider spacing; the interpolation itself is accurate to
+// ~1–2 % (see the table package tests). All these figures are measured
+// against this reference as it stands, whose filaments and plane
+// strips are not converged (ROADMAP.md item 1), so they are not yet
+// the method's true envelope.
 func (e *Extractor) DirectLoopL(s Segment) (float64, error) {
 	return e.DirectLoopLCtx(context.Background(), s)
 }

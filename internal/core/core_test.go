@@ -68,8 +68,8 @@ func TestLoopLCompositionMatchesDirectCPW(t *testing.T) {
 		t.Fatalf("composed loop L = %g", composed)
 	}
 	// The composition misses drive/return proximity crowding (it is
-	// built from isolated subproblems), which costs up to ~10 % at the
-	// significant frequency for 1 µm gaps; see DirectLoopL's doc.
+	// built from isolated subproblems), which costs several percent at
+	// the significant frequency for 1 µm gaps; see DirectLoopL's doc.
 	if rel := math.Abs(composed-direct) / direct; !(rel <= 0.10) {
 		t.Errorf("CPW composition %g vs direct %g (rel %g)", composed, direct, rel)
 	}

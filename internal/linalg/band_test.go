@@ -1,7 +1,7 @@
 package linalg
 
-// Band-limited elimination against the dense case: the same routine
-// with bw = n−1 visits every entry, so it is the oracle.
+// Band-limited elimination against the textbook dense elimination,
+// which exchanges whole rows and keeps L in place.
 
 import (
 	"errors"
@@ -62,6 +62,89 @@ func displacedTwice(swaps []int) bool {
 	return false
 }
 
+// textbook is the dense elimination FactorBand must reproduce:
+// partial pivoting over the whole column, whole rows exchanged and the
+// multipliers stored in place, so the packed lu holds L below the
+// diagonal and U on and above it, each row in its final place.
+type textbook struct {
+	lu             []float64
+	swaps          []int
+	minPiv, maxPiv float64
+}
+
+func denseEliminate(a *Matrix) (*textbook, error) {
+	n := a.Rows
+	tb := &textbook{lu: append([]float64(nil), a.Data...), swaps: make([]int, n), minPiv: math.Inf(1)}
+	lu := tb.lu
+	for k := 0; k < n; k++ {
+		p, big := k, math.Abs(lu[k*n+k])
+		for i := k + 1; i < n; i++ {
+			if v := math.Abs(lu[i*n+k]); v > big {
+				p, big = i, v
+			}
+		}
+		if big == 0 || math.IsNaN(big) || math.IsInf(big, 0) {
+			return nil, ErrSingular
+		}
+		tb.minPiv, tb.maxPiv = min(tb.minPiv, big), max(tb.maxPiv, big)
+		tb.swaps[k] = p
+		rowP, rowK := lu[p*n:p*n+n], lu[k*n:k*n+n]
+		for j := range rowK {
+			rowK[j], rowP[j] = rowP[j], rowK[j]
+		}
+		for i := k + 1; i < n; i++ {
+			m := lu[i*n+k] / lu[k*n+k]
+			lu[i*n+k] = m
+			if m == 0 {
+				continue
+			}
+			for j := k + 1; j < n; j++ {
+				lu[i*n+j] -= m * lu[k*n+j]
+			}
+		}
+	}
+	return tb, nil
+}
+
+// factors compresses the packed factors as LU stores them: each row's
+// nonzeros below the diagonal into l, above it into u.
+func (tb *textbook) factors() (l, u csr, diag []float64) {
+	n := len(tb.swaps)
+	l.rowPtr, u.rowPtr = []int{0}, []int{0}
+	for i := 0; i < n; i++ {
+		for j, v := range tb.lu[i*n : i*n+n] {
+			f := &u
+			if j < i {
+				f = &l
+			}
+			if j == i {
+				diag = append(diag, v)
+			} else if v != 0 {
+				f.colIdx, f.val = append(f.colIdx, j), append(f.val, v)
+			}
+		}
+		l.rowPtr, u.rowPtr = append(l.rowPtr, len(l.val)), append(u.rowPtr, len(u.val))
+	}
+	return l, u, diag
+}
+
+// bandOf copies the band |i−j| ≤ bw of a into band storage.
+func bandOf(a *Matrix, bw int) *Band {
+	var b Band
+	b.Reset(a.Rows, bw)
+	for i := 0; i < a.Rows; i++ {
+		for j := max(0, i-b.bw); j <= min(a.Rows-1, i+b.bw); j++ {
+			b.Set(i, j, a.At(i, j))
+		}
+	}
+	return &b
+}
+
+func factorBand(a *Matrix, bw int) (*LU, error) {
+	f := new(LU)
+	return f, f.FactorBand(bandOf(a, bw))
+}
+
 func sameCSR(t *testing.T, what string, got, want *csr) {
 	t.Helper()
 	if len(got.rowPtr) != len(want.rowPtr) || len(got.colIdx) != len(want.colIdx) {
@@ -81,8 +164,25 @@ func sameCSR(t *testing.T, what string, got, want *csr) {
 	sameBits(t, what, got.val, want.val)
 }
 
-// Band elimination stores the dense elimination's factors bit for bit:
+// sameFactors checks f against the textbook elimination bit for bit:
 // the same swaps, L, U and pivots, and so the same CondEstimate.
+func sameFactors(t *testing.T, what string, f *LU, tb *textbook) {
+	t.Helper()
+	for k := range tb.swaps {
+		if f.swaps[k] != tb.swaps[k] {
+			t.Fatalf("%s: step %d swaps row %d, dense %d", what, k, f.swaps[k], tb.swaps[k])
+		}
+	}
+	l, u, diag := tb.factors()
+	sameCSR(t, what+" L", &f.l, &l)
+	sameCSR(t, what+" U", &f.u, &u)
+	sameBits(t, what+" pivots", f.diag, diag)
+	sameBits(t, what+" pivot range", []float64{f.minPiv, f.maxPiv, f.CondEstimate()},
+		[]float64{tb.minPiv, tb.maxPiv, tb.maxPiv / tb.minPiv})
+}
+
+// Band elimination stores the textbook dense elimination's factors bit
+// for bit, at the matrix's own half-bandwidth and in the dense case.
 func TestBandEliminationMatchesDenseBits(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	twice := 0
@@ -90,30 +190,40 @@ func TestBandEliminationMatchesDenseBits(t *testing.T) {
 		n := 20 + rng.Intn(101)
 		bw := 1 + rng.Intn(8)
 		a := bandedSystem(rng, n, bw)
-		dense, err := FactorInPlace(a.Clone(), n-1)
+		want, err := denseEliminate(a)
 		if err != nil {
 			t.Fatalf("trial %d (n=%d, bw=%d): dense: %v", trial, n, bw, err)
 		}
-		band, err := FactorInPlace(a.Clone(), bw)
+		band, err := factorBand(a, bw)
 		if err != nil {
 			t.Fatalf("trial %d (n=%d, bw=%d): band: %v", trial, n, bw, err)
 		}
-		for k := range dense.swaps {
-			if band.swaps[k] != dense.swaps[k] {
-				t.Fatalf("trial %d: step %d swaps row %d, dense %d", trial, k, band.swaps[k], dense.swaps[k])
-			}
+		dense, err := Factor(a)
+		if err != nil {
+			t.Fatalf("trial %d (n=%d): Factor: %v", trial, n, err)
 		}
-		sameCSR(t, "L", band.l, dense.l)
-		sameCSR(t, "U", band.u, dense.u)
-		sameBits(t, "pivots", band.diag, dense.diag)
-		sameBits(t, "pivot range", []float64{band.minPiv, band.maxPiv, band.CondEstimate()},
-			[]float64{dense.minPiv, dense.maxPiv, dense.CondEstimate()})
-		if displacedTwice(dense.swaps) {
+		sameFactors(t, fmt.Sprintf("trial %d band", trial), band, want)
+		sameFactors(t, fmt.Sprintf("trial %d Factor", trial), dense, want)
+		if displacedTwice(want.swaps) {
 			twice++
 		}
 	}
 	if twice == 0 {
 		t.Fatal("no trial moved a row down twice; the test does not exercise displaced rows")
+	}
+	// Bands so wide that a row's 3·bw+1 columns reach past the matrix
+	// or fill it.
+	for _, c := range []struct{ n, bw int }{{20, 7}, {40, 12}, {31, 20}} {
+		a := bandedSystem(rng, c.n, c.bw)
+		want, err := denseEliminate(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		band, err := factorBand(a, c.bw)
+		if err != nil {
+			t.Fatalf("n=%d, bw=%d: band: %v", c.n, c.bw, err)
+		}
+		sameFactors(t, fmt.Sprintf("n=%d, bw=%d band", c.n, c.bw), band, want)
 	}
 }
 
@@ -126,14 +236,66 @@ func TestBandWidthBeyondMatrixIsDense(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := FactorInPlace(a.Clone(), 1000)
+	got, err := factorBand(a, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameCSR(t, "L", got.l, want.l)
-	sameCSR(t, "U", got.u, want.u)
-	if _, err := FactorInPlace(a.Clone(), -1); err == nil {
-		t.Fatal("accepted a negative half-bandwidth")
+	sameCSR(t, "L", &got.l, &want.l)
+	sameCSR(t, "U", &got.u, &want.u)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("accepted a negative half-bandwidth")
+		}
+	}()
+	new(Band).Reset(30, -1)
+}
+
+// An LU refactored in place gives a fresh factorization's solves bit
+// for bit, whatever it held before, and once its storage has grown a
+// refactorization allocates nothing.
+func TestFactorBandReusesStorage(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	var f LU
+	var b Band
+	for _, n := range []int{60, 12, 90, 60} {
+		a := bandedSystem(rng, n, 3)
+		want, err := Factor(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b.Reset(n, 3)
+		for i := 0; i < n; i++ {
+			for j := max(0, i-3); j <= min(n-1, i+3); j++ {
+				b.Set(i, j, a.At(i, j))
+			}
+		}
+		if err := f.FactorBand(&b); err != nil {
+			t.Fatal(err)
+		}
+		rhs := randomVec(rng, n)
+		wantX, gotX := make([]float64, n), make([]float64, n)
+		if err := want.SolveInPlace(rhs, wantX); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.SolveInPlace(rhs, gotX); err != nil {
+			t.Fatal(err)
+		}
+		sameBits(t, fmt.Sprintf("n=%d", n), gotX, wantX)
+	}
+	a := bandedSystem(rng, 60, 3)
+	allocs := testing.AllocsPerRun(20, func() {
+		b.Reset(60, 3)
+		for i := 0; i < 60; i++ {
+			for j := max(0, i-3); j <= min(59, i+3); j++ {
+				b.Set(i, j, a.At(i, j))
+			}
+		}
+		if err := f.FactorBand(&b); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("a warm refactorization allocates %v times, want 0", allocs)
 	}
 }
 
@@ -156,7 +318,7 @@ func TestBandFactorSingularIsNamed(t *testing.T) {
 	for i := 0; i < 12; i++ {
 		a.Set(i, 7, 0) // an empty column
 	}
-	if _, err := FactorInPlace(a, 1); !errors.Is(err, ErrSingular) {
+	if _, err := factorBand(a, 1); !errors.Is(err, ErrSingular) {
 		t.Fatalf("want ErrSingular, got %v", err)
 	}
 }
@@ -168,7 +330,7 @@ func TestBandFactorPivotOverflowIsIllConditioned(t *testing.T) {
 	a.Set(6, 5, math.MaxFloat64)
 	a.Set(6, 6, -math.MaxFloat64)
 	// Elimination overflows the (6,6) update to -Inf.
-	if _, err := FactorInPlace(a, 1); !errors.Is(err, ErrIllConditioned) {
+	if _, err := factorBand(a, 1); !errors.Is(err, ErrIllConditioned) {
 		t.Fatalf("want ErrIllConditioned, got %v", err)
 	}
 }
@@ -177,7 +339,7 @@ func TestBandFactorRejectsNonFiniteInput(t *testing.T) {
 	for _, at := range [][2]int{{0, 0}, {3, 4}, {9, 8}} {
 		a := tridiagonal(10, 3)
 		a.Set(at[0], at[1], math.Inf(-1))
-		_, err := FactorInPlace(a, 1)
+		_, err := factorBand(a, 1)
 		if !errors.Is(err, ErrNonFinite) {
 			t.Fatalf("Inf at %v: want ErrNonFinite, got %v", at, err)
 		}

@@ -99,8 +99,8 @@ func TestSolveSystemNeverReturnsNonFinite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	x, err := f.Solve([]float64{1, 0, 0})
-	if err != nil {
+	x := make([]float64, 3)
+	if err := f.SolveInPlace([]float64{1, 0, 0}, x); err != nil {
 		t.Fatal(err)
 	}
 	for i, v := range x {

@@ -2,20 +2,13 @@
 // extractor needs: real and complex matrices, LU decomposition with
 // partial pivoting and linear solves.
 //
-// The matrices involved are modest (filament systems of a few hundred
-// unknowns, MNA systems of a few thousand), so elimination runs in a
-// dense row-major workspace. It is band-aware: FactorInPlace takes the
-// matrix's half-bandwidth bw and confines the pivot search, the row
-// updates, the non-finite scan and the compression of the factors to
-// the band partial pivoting can fill (bw below the diagonal, 2·bw
-// above). A caller that numbers its unknowns to keep bw small (sim
-// uses reverse Cuthill–McKee) factors in O(n·bw²); bw = n−1 is the
-// dense case, which Factor takes. A real LU keeps its factors in
-// compressed-row form after elimination, so each solve costs O(nnz)
-// rather than O(n²), with the same floating-point results as the
-// dense loops. FactorInPlace eliminates in the caller's matrix, so a
-// caller that recycles its buffers factors without a dense
-// allocation. The complex solver stays fully dense.
+// A real system is factored from Band storage, which holds the band
+// partial pivoting can fill, so a caller that keeps the half-bandwidth
+// bw small (sim numbers its unknowns by reverse Cuthill–McKee) stores
+// O(n·bw) and factors in O(n·bw²); Factor takes a dense Matrix as the
+// full band. An LU keeps its factors in compressed rows, so a solve
+// costs O(nnz) with the dense loops' results, and FactorBand refactors
+// into an LU's storage. The complex solver stays fully dense.
 package linalg
 
 import (
@@ -41,21 +34,6 @@ var ErrNonFinite = errors.New("linalg: non-finite matrix entry")
 // vector.
 var ErrIllConditioned = errors.New("linalg: ill-conditioned system")
 
-// checkFinite rejects matrices carrying NaN/Inf before a
-// factorization bothers to start. It scans the band |i−j| ≤ bw row by
-// row, so it names the first offending element in row-major order.
-func checkFinite(data []float64, n, bw int) error {
-	for i := 0; i < n; i++ {
-		lo, hi := max(0, i-bw), min(n-1, i+bw)
-		for j, v := range data[i*n+lo : i*n+hi+1] {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return fmt.Errorf("%w: element (%d,%d) = %g", ErrNonFinite, i, lo+j, v)
-			}
-		}
-	}
-	return nil
-}
-
 // Matrix is a dense row-major real matrix.
 type Matrix struct {
 	Rows, Cols int
@@ -75,23 +53,6 @@ func (m *Matrix) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
 
 // Set assigns element (i, j).
 func (m *Matrix) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
-
-// Add accumulates v into element (i, j).
-func (m *Matrix) Add(i, j int, v float64) { m.Data[i*m.Cols+j] += v }
-
-// Clone returns a deep copy of m.
-func (m *Matrix) Clone() *Matrix {
-	out := NewMatrix(m.Rows, m.Cols)
-	copy(out.Data, m.Data)
-	return out
-}
-
-// Zero resets every element to 0 in place.
-func (m *Matrix) Zero() {
-	for i := range m.Data {
-		m.Data[i] = 0
-	}
-}
 
 // MulVec computes y = m·x. The receiver must be Rows×Cols with
 // len(x) == Cols; the result has length Rows.
@@ -138,14 +99,60 @@ func (m *Matrix) MaxAbsDiff(other *Matrix) float64 {
 	return d
 }
 
+// Band is an n×n matrix whose nonzeros lie within half-bandwidth bw
+// of the diagonal, stored by rows with room for the fill partial
+// pivoting adds: row i keeps min(3·bw+1, n) columns from max(i−bw, 0),
+// which hold columns i−bw through i+2·bw that lie in the matrix.
+type Band struct {
+	n, bw int
+	w     int // row stride
+	data  []float64
+}
+
+// Reset makes b the zero n×n matrix of half-bandwidth bw, reusing its
+// storage. A bw of n−1 or more is the dense case.
+func (b *Band) Reset(n, bw int) {
+	if n < 0 || bw < 0 {
+		panic("linalg: negative band dimension")
+	}
+	bw = max(min(bw, n-1), 0)
+	b.n, b.bw, b.w = n, bw, min(3*bw+1, n)
+	b.data = resize(b.data, n*b.w)
+	clear(b.data)
+}
+
+// at returns the index in data of element (i, j), which may be fill.
+func (b *Band) at(i, j int) int { return i*b.w + j - max(i-b.bw, 0) }
+
+// Set assigns element (i, j), which must lie within the band.
+func (b *Band) Set(i, j int, v float64) {
+	if j < i-b.bw || j > i+b.bw {
+		panic(fmt.Sprintf("linalg: element (%d,%d) outside half-bandwidth %d", i, j, b.bw))
+	}
+	b.data[b.at(i, j)] = v
+}
+
+// checkFinite rejects a band carrying NaN/Inf before a factorization
+// bothers to start. The storage is row by row and zero off the matrix's
+// band, so it names the first offending element in row-major order.
+func (b *Band) checkFinite() error {
+	for k, v := range b.data {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			i := k / b.w
+			return fmt.Errorf("%w: element (%d,%d) = %g", ErrNonFinite, i, k%b.w+max(i-b.bw, 0), v)
+		}
+	}
+	return nil
+}
+
 // LU holds the LU factorization of a square matrix with partial
-// pivoting, P·A = L·U. Elimination runs once, in a dense workspace;
-// the factors are then stored compressed (exact zeros dropped), so each
-// solve walks only the nonzeros that elimination left, fill included.
+// pivoting, P·A = L·U. The factors are stored compressed (exact zeros
+// dropped), so each solve walks only the nonzeros that elimination
+// left, fill included.
 type LU struct {
 	n    int
-	l    *csr      // strictly lower triangle of L; its unit diagonal is implicit
-	u    *csr      // strictly upper triangle of U
+	l    csr       // strictly lower triangle of L; its unit diagonal is implicit
+	u    csr       // strictly upper triangle of U
 	diag []float64 // U's diagonal: the pivots
 	// swaps[k] is the row exchanged with row k at elimination step k;
 	// replaying the swaps in order applies P.
@@ -153,6 +160,7 @@ type LU struct {
 	// minPiv/maxPiv are the extreme |pivot| magnitudes seen during
 	// elimination; their ratio is a cheap condition estimate.
 	minPiv, maxPiv float64
+	rows           []int // FactorBand's scratch for placing L's multipliers
 }
 
 // CondEstimate returns the ratio of the largest to smallest |pivot|
@@ -168,140 +176,117 @@ func (f *LU) CondEstimate() float64 {
 
 // NNZ returns the number of stored factor entries: the nonzeros of L
 // below the diagonal and of U on and above it.
-func (f *LU) NNZ() int { return f.l.nnz() + f.u.nnz() + f.n }
+func (f *LU) NNZ() int { return len(f.l.val) + len(f.u.val) + f.n }
 
-// Factor computes the LU factorization of square matrix a. The input
-// is not modified. It returns ErrSingular when a pivot underflows.
+// Factor computes the LU factorization of square matrix a, as the
+// dense case of FactorBand. The input is not modified. It returns
+// ErrSingular when a pivot underflows.
 func Factor(a *Matrix) (*LU, error) {
-	return FactorInPlace(a.Clone(), max(a.Rows-1, 0))
-}
-
-// FactorInPlace is Factor using a itself as the elimination workspace:
-// it allocates no dense n×n buffer, and afterwards a holds scratch
-// (the packed factors, or a partial elimination on error). The returned
-// factorization keeps no reference to a, so a may be reused at once.
-//
-// bw is a's half-bandwidth: every nonzero a(i,j) has |i−j| ≤ bw, and
-// elimination reads and writes only that band and the one partial
-// pivoting fills. Entries outside the band must be zero; they are
-// never looked at. bw ≥ n−1 is the dense case. The factors are bit for
-// bit those of the dense elimination of the same matrix.
-func FactorInPlace(a *Matrix, bw int) (*LU, error) {
-	f, lfirst, err := eliminate(a, bw)
-	if err != nil {
+	if a.Rows != a.Cols {
+		return nil, fmt.Errorf("linalg: Factor needs a square matrix, got %d×%d", a.Rows, a.Cols)
+	}
+	n := a.Rows
+	var b Band
+	b.Reset(n, n-1)
+	for i := 0; i < n; i++ {
+		copy(b.data[b.at(i, 0):b.at(i, n-1)+1], a.Data[i*n:i*n+n])
+	}
+	f := new(LU)
+	if err := f.FactorBand(&b); err != nil {
 		return nil, err
-	}
-	n, lu := f.n, a.Data
-	bw = min(bw, n-1)
-	uEnd := func(i int) int { return i*n + min(n-1, i+2*bw) + 1 }
-	lower, upper := 0, 0
-	for i := 0; i < n; i++ {
-		lower += countNonzero(lu[i*n+lfirst[i] : i*n+i])
-		upper += countNonzero(lu[i*n+i+1 : uEnd(i)])
-	}
-	f.l, f.u = newCSR(n, lower), newCSR(n, upper)
-	f.diag = make([]float64, n)
-	for i := 0; i < n; i++ {
-		f.l.appendRow(lu[i*n+lfirst[i]:i*n+i], lfirst[i])
-		f.u.appendRow(lu[i*n+i+1:uEnd(i)], i+1)
-		f.diag[i] = lu[i*n+i]
 	}
 	return f, nil
 }
 
-// eliminate runs Gaussian elimination with partial pivoting in place on
-// a, whose nonzeros lie within half-bandwidth bw of the diagonal. It
-// returns the factorization's permutation and pivot statistics, and
-// leaves the factors packed row-major in a.Data: L's multipliers below
-// the diagonal, U on and above it. Row i of L starts at column
-// lfirst[i].
-//
-// Rows below k+bw are still untouched at step k, so the pivot search
-// stops there, and the pivot row reaches no further than column k+2·bw.
-// A row that a swap moves down keeps the multipliers it gathered
-// higher up, so L rows are not confined to [i−bw, i): lfirst follows
-// every row through its swaps.
-func eliminate(a *Matrix, bw int) (f *LU, lfirst []int, err error) {
-	if a.Rows != a.Cols {
-		return nil, nil, fmt.Errorf("linalg: Factor needs a square matrix, got %d×%d", a.Rows, a.Cols)
+// FactorBand factors a into f by Gaussian elimination with partial
+// pivoting, reusing f's storage; a holds scratch afterwards, and on
+// error f holds no usable factorization. Rows below k+bw are untouched
+// at step k, so the pivot search stops there, and the pivot row ends by
+// column k+2·bw. A row exchange swaps the rows from column k on; each
+// multiplier stays below its step's pivot until placed in its final row
+// of L, which a row moved down can reach left of bw. The swaps, L, U
+// and pivots are bit for bit those of the textbook dense elimination.
+func (f *LU) FactorBand(a *Band) error {
+	if err := a.checkFinite(); err != nil {
+		return err
 	}
-	n := a.Rows
-	if bw < 0 {
-		return nil, nil, fmt.Errorf("linalg: negative half-bandwidth %d", bw)
-	}
-	bw = min(bw, n-1)
-	if err := checkFinite(a.Data, n, bw); err != nil {
-		return nil, nil, err
-	}
-	f = &LU{n: n, swaps: make([]int, n), minPiv: math.Inf(1)}
-	lfirst = make([]int, n)
-	for i := range lfirst {
-		lfirst[i] = max(0, i-bw)
-	}
-	lu := a.Data
+	n, bw, d := a.n, a.bw, a.data
+	f.n, f.minPiv, f.maxPiv = n, math.Inf(1), 0
+	f.swaps = resize(f.swaps, n)
 	for k := 0; k < n; k++ {
 		last := min(n-1, k+bw)    // last row that can hold column k
 		right := min(n-1, k+2*bw) // last column the pivot row can hold
+		kk := a.at(k, k)
 		// Partial pivot: find the largest |value| in column k at or
 		// below the diagonal.
-		p, max := k, math.Abs(lu[k*n+k])
+		p, big := k, math.Abs(d[kk])
 		for i := k + 1; i <= last; i++ {
-			if v := math.Abs(lu[i*n+k]); v > max {
-				p, max = i, v
+			if v := math.Abs(d[a.at(i, k)]); v > big {
+				p, big = i, v
 			}
 		}
-		if max == 0 || math.IsNaN(max) {
-			return nil, nil, ErrSingular
+		if big == 0 || math.IsNaN(big) {
+			return ErrSingular
 		}
-		if math.IsInf(max, 0) {
+		if math.IsInf(big, 0) {
 			// Finite input overflowed during elimination: the system is
 			// numerically hopeless, not merely rank-deficient.
-			return nil, nil, fmt.Errorf("pivot overflow in column %d: %w", k, ErrIllConditioned)
+			return fmt.Errorf("pivot overflow in column %d: %w", k, ErrIllConditioned)
 		}
-		if max < f.minPiv {
-			f.minPiv = max
-		}
-		if max > f.maxPiv {
-			f.maxPiv = max
-		}
+		f.minPiv, f.maxPiv = min(f.minPiv, big), max(f.maxPiv, big)
 		f.swaps[k] = p
-		if p != k {
-			left := min(lfirst[k], lfirst[p])
-			rowP := lu[p*n+left : p*n+right+1]
-			rowK := lu[k*n+left : k*n+right+1]
-			for j := range rowK {
-				rowK[j], rowP[j] = rowP[j], rowK[j]
-			}
-			lfirst[k], lfirst[p] = lfirst[p], lfirst[k]
+		rowK, rowP := d[kk:kk+right-k+1], d[a.at(p, k):]
+		for j := range rowK {
+			rowK[j], rowP[j] = rowP[j], rowK[j]
 		}
-		pivot := lu[k*n+k]
-		rowK := lu[k*n+k+1 : k*n+right+1]
+		pivot, rowK := rowK[0], rowK[1:]
 		for i := k + 1; i <= last; i++ {
-			m := lu[i*n+k] / pivot
-			lu[i*n+k] = m
+			ik := a.at(i, k)
+			m := d[ik] / pivot
+			d[ik] = m
 			if m == 0 {
 				continue
 			}
-			rowI := lu[i*n+k+1 : i*n+right+1]
+			rowI := d[ik+1 : ik+1+len(rowK)]
 			for j := range rowK {
 				rowI[j] -= m * rowK[j]
 			}
 		}
 	}
-	return f, lfirst, nil
-}
 
-// Solve solves A·x = b for a single right-hand side. b is not
-// modified.
-func (f *LU) Solve(b []float64) ([]float64, error) {
-	if len(b) != f.n {
-		return nil, fmt.Errorf("linalg: Solve rhs length %d != %d", len(b), f.n)
-	}
-	x := make([]float64, f.n)
-	if err := f.SolveInPlace(b, x); err != nil {
-		return nil, err
-	}
-	return x, nil
+	// U's rows are in place. The multiplier step k left at position i
+	// belongs to the row the later exchanges carry from i: rows maps each
+	// position to its final row, the identity after the last step, each
+	// step back undoing that step's exchange.
+	f.diag = resize(f.diag, n)
+	f.u.build(n, func(pass int) {
+		for i := 0; i < n; i++ {
+			ii := a.at(i, i)
+			f.diag[i] = d[ii]
+			for j := min(n-1, i+2*bw); j > i; j-- {
+				if v := d[ii+j-i]; v != 0 {
+					f.u.emit(pass, i, j, v)
+				}
+			}
+		}
+	})
+	f.rows = resize(f.rows, n)
+	rows := f.rows
+	f.l.build(n, func(pass int) {
+		for i := range rows {
+			rows[i] = i
+		}
+		for k := n - 1; k >= 0; k-- {
+			for i := k + 1; i <= min(n-1, k+bw); i++ {
+				if m := d[a.at(i, k)]; m != 0 {
+					f.l.emit(pass, rows[i], k, m)
+				}
+			}
+			p := f.swaps[k]
+			rows[k], rows[p] = rows[p], rows[k]
+		}
+	})
+	return nil
 }
 
 // SolveInPlace solves A·x = b storing the result into dst, which may
@@ -325,7 +310,7 @@ func (f *LU) SolveInPlace(b, dst []float64) error {
 		x[k], x[p] = x[p], x[k]
 	}
 	// Forward substitution with unit-diagonal L.
-	l := f.l
+	l := &f.l
 	for i := 1; i < n; i++ {
 		lo, hi := l.rowPtr[i], l.rowPtr[i+1]
 		cols, vals := l.colIdx[lo:hi], l.val[lo:hi]
@@ -337,7 +322,7 @@ func (f *LU) SolveInPlace(b, dst []float64) error {
 	}
 	// Back substitution with U. 0·v is ±0 for a finite v and NaN
 	// otherwise, so chk stays zero exactly while x is finite.
-	u := f.u
+	u := &f.u
 	chk := 0.0
 	for i := n - 1; i >= 0; i-- {
 		lo, hi := u.rowPtr[i], u.rowPtr[i+1]

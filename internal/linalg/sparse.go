@@ -1,46 +1,47 @@
 package linalg
 
 // csr holds a triangular factor in compressed-sparse-row form: each
-// row stores only its nonzero entries, in increasing column order. It
-// is built once, row by row, and is read-only afterwards.
+// row stores only its nonzero entries, in increasing column order.
 type csr struct {
 	rowPtr []int // row i occupies colIdx/val[rowPtr[i]:rowPtr[i+1]]
 	colIdx []int
 	val    []float64
 }
 
-// newCSR returns an empty factor of rows rows with room for nnz
-// entries; appendRow fills it row by row.
-func newCSR(rows, nnz int) *csr {
-	return &csr{
-		rowPtr: append(make([]int, 0, rows+1), 0),
-		colIdx: make([]int, 0, nnz),
-		val:    make([]float64, 0, nnz),
+// build lays out n rows from two runs of visit, which must emit the
+// same entries through s.emit both times, each row's by descending
+// column: pass 0 counts each row's entries, pass 1 fills each row from
+// its end. The arrays are reused when large enough.
+func (s *csr) build(n int, visit func(pass int)) {
+	s.rowPtr = resize(s.rowPtr, n+1)
+	clear(s.rowPtr)
+	visit(0)
+	for i := 0; i < n; i++ {
+		s.rowPtr[i+1] += s.rowPtr[i]
 	}
+	nnz := s.rowPtr[n]
+	s.colIdx, s.val = resize(s.colIdx, nnz), resize(s.val, nnz)
+	visit(1)
+	// Each rowPtr[i+1] now holds row i's start.
+	copy(s.rowPtr, s.rowPtr[1:])
+	s.rowPtr[n] = nnz
 }
 
-// appendRow stores the nonzeros of the next row; row's first element
-// sits in column off.
-func (s *csr) appendRow(row []float64, off int) {
-	for j, v := range row {
-		if v != 0 {
-			s.colIdx = append(s.colIdx, off+j)
-			s.val = append(s.val, v)
-		}
+// emit counts an entry on pass 0 of build and stores it on pass 1.
+func (s *csr) emit(pass, row, col int, v float64) {
+	if pass == 0 {
+		s.rowPtr[row+1]++
+		return
 	}
-	s.rowPtr = append(s.rowPtr, len(s.val))
+	s.rowPtr[row+1]--
+	s.colIdx[s.rowPtr[row+1]], s.val[s.rowPtr[row+1]] = col, v
 }
 
-// countNonzero returns how many elements of data are not exactly zero.
-func countNonzero(data []float64) int {
-	nnz := 0
-	for _, v := range data {
-		if v != 0 {
-			nnz++
-		}
+// resize returns s with length n, reusing its array when it is large
+// enough. The contents are not cleared.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
 	}
-	return nnz
+	return s[:n]
 }
-
-// nnz returns the number of stored entries.
-func (s *csr) nnz() int { return len(s.val) }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
 	"testing"
 )
 
@@ -20,11 +19,11 @@ func sparseSystem(rng *rand.Rand, n int, density float64) *Matrix {
 			}
 		}
 		if i%3 != 2 {
-			a.Add(i, i, 4+rng.Float64())
+			a.Data[i*n+i] += 4 + rng.Float64()
 		}
 		// Keep every row and column nonempty.
-		a.Add(i, (i+1)%n, 1)
-		a.Add((i+1)%n, i, -1)
+		a.Data[i*n+(i+1)%n]++
+		a.Data[(i+1)%n*n+i]--
 	}
 	return a
 }
@@ -47,11 +46,11 @@ func sameBits(t *testing.T, what string, got, want []float64) {
 }
 
 // denseSolve is the substitution over every column of the packed
-// factors eliminate returns — the solve before factors were compressed.
-func denseSolve(f *LU, lu, b []float64) []float64 {
-	n := f.n
+// textbook factors — the solve before factors were compressed.
+func denseSolve(tb *textbook, b []float64) []float64 {
+	n, lu := len(tb.swaps), tb.lu
 	x := append([]float64(nil), b...)
-	for k, p := range f.swaps {
+	for k, p := range tb.swaps {
 		x[k], x[p] = x[p], x[k]
 	}
 	for i := 1; i < n; i++ {
@@ -80,83 +79,30 @@ func TestCompressedSolveMatchesDenseBits(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		packed := a.Clone()
-		ref, _, err := eliminate(packed, n-1)
+		ref, err := denseEliminate(a)
 		if err != nil {
 			t.Fatal(err)
 		}
-		lu := packed.Data
-		if got, want := f.NNZ(), countNonzero(lu); got != want {
-			t.Fatalf("LU NNZ = %d, dense factors hold %d nonzeros", got, want)
+		nonzero := 0
+		for _, v := range ref.lu {
+			if v != 0 {
+				nonzero++
+			}
+		}
+		if got := f.NNZ(); got != nonzero {
+			t.Fatalf("LU NNZ = %d, dense factors hold %d nonzeros", got, nonzero)
 		}
 		b := randomVec(rng, n)
-		want := denseSolve(ref, lu, b)
-		got, err := f.Solve(b)
-		if err != nil {
+		want := denseSolve(ref, b)
+		got := make([]float64, n)
+		if err := f.SolveInPlace(b, got); err != nil {
 			t.Fatal(err)
 		}
-		sameBits(t, "Solve", got, want)
+		sameBits(t, "SolveInPlace", got, want)
 		if err := f.SolveInPlace(b, b); err != nil {
 			t.Fatal(err)
 		}
 		sameBits(t, "aliased SolveInPlace", b, want)
-	}
-}
-
-// FactorInPlace gives Factor's solves bit for bit, leaves the caller's
-// buffer free for reuse, and allocates no dense n×n copy.
-func TestFactorInPlaceMatchesFactor(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	const n = 60
-	a := sparseSystem(rng, n, 0.05)
-	f, err := Factor(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	work := a.Clone()
-	g, err := FactorInPlace(work, n-1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Scribbling over the workspace must not reach the factorization.
-	for i := range work.Data {
-		work.Data[i] = math.NaN()
-	}
-	b := randomVec(rng, n)
-	want, err := f.Solve(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := g.Solve(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameBits(t, "FactorInPlace", got, want)
-
-	// The saving is exactly the dense copy Factor makes.
-	bytesPerCall := func(factor func() error) uint64 {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for i := 0; i < 10; i++ {
-			if err := factor(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		runtime.ReadMemStats(&after)
-		return (after.TotalAlloc - before.TotalAlloc) / 10
-	}
-	inPlace := bytesPerCall(func() error {
-		copy(work.Data, a.Data)
-		_, err := FactorInPlace(work, n-1)
-		return err
-	})
-	copying := bytesPerCall(func() error {
-		_, err := Factor(a)
-		return err
-	})
-	if copying < inPlace+n*n*8 {
-		t.Fatalf("FactorInPlace allocates %d B per call, Factor %d B: want at least one dense %d×%d matrix (%d B) less",
-			inPlace, copying, n, n, n*n*8)
 	}
 }
 
@@ -171,8 +117,8 @@ func TestSolveInPlaceDoesNotAllocate(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := randomVec(rng, 30)
-	want, err := f.Solve(b)
-	if err != nil {
+	want := make([]float64, 30)
+	if err := f.SolveInPlace(b, want); err != nil {
 		t.Fatal(err)
 	}
 	dst := make([]float64, 30)
@@ -212,7 +158,7 @@ func ladderSystem(n int) *Matrix {
 			a.Set(i, i+1, -1)
 			a.Set(i+1, i, -1)
 		}
-		a.Add(i, (7*i+3)%n, 0.1)
+		a.Data[i*n+(7*i+3)%n] += 0.1
 	}
 	return a
 }

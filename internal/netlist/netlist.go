@@ -250,11 +250,18 @@ func (s SegmentRLC) Validate() error {
 	return nil
 }
 
+// Section returns the element values of an n-section ladder of s: R/n
+// and L/n in series in each section, C/n to ground at each interior
+// junction, and C/2n at the two ends (the classic π equivalent: C/2n at
+// the section ends accumulate to C/n at interior junctions).
+func (s SegmentRLC) Section(n int) (r, l, c, cEnd float64) {
+	r, l, c = s.R/float64(n), s.L/float64(n), s.C/float64(n)
+	return r, l, c, c / 2
+}
+
 // AddLadder appends a distributed RLC ladder of n π-sections between
-// nodes from and to, modelling one extracted segment. Each section
-// carries R/n and L/n in series with C/n split half to each end (the
-// classic π equivalent: C/2n at the section ends accumulate to C/n at
-// interior junctions). With L = 0 the sections degenerate to RC.
+// nodes from and to, modelling one extracted segment, with the values
+// seg.Section gives. A section whose L/n is 0 degenerates to RC.
 // Internal node names are derived from prefix. The indices of the
 // created inductors are returned so callers can add inter-segment
 // mutual couplings.
@@ -269,11 +276,9 @@ func (n *Netlist) AddLadder(prefix, from, to string, seg SegmentRLC, sections in
 		return nil, fmt.Errorf("netlist: ladder %q endpoints coincide", prefix)
 	}
 	var inductors []int
-	rsec := seg.R / float64(sections)
-	lsec := seg.L / float64(sections)
-	csec := seg.C / float64(sections)
+	rsec, lsec, csec, cEnd := seg.Section(sections)
 	prev := from
-	n.AddC(prefix+".c0", from, Ground, csec/2)
+	n.AddC(prefix+".c0", from, Ground, cEnd)
 	for s := 0; s < sections; s++ {
 		var mid string
 		end := to
@@ -290,10 +295,27 @@ func (n *Netlist) AddLadder(prefix, from, to string, seg SegmentRLC, sections in
 		}
 		capVal := csec
 		if s == sections-1 {
-			capVal = csec / 2
+			capVal = cEnd
 		}
 		n.AddC(fmt.Sprintf("%s.c%d", prefix, s+1), end, Ground, capVal)
 		prev = end
 	}
 	return inductors, nil
+}
+
+// SetLadder writes seg's values over an n-section ladder that AddLadder
+// appended, whose first resistor, capacitor and inductor have indices
+// r, c and l, exactly as AddLadder would lay them out. The ladder keeps
+// its elements, so seg's L/n must be nonzero exactly when the ladder
+// was built with inductors.
+func (n *Netlist) SetLadder(r, c, l int, seg SegmentRLC, sections int) {
+	rsec, lsec, csec, cEnd := seg.Section(sections)
+	for s := range sections {
+		n.Resistors[r+s].R = rsec
+		n.Capacitors[c+1+s].C = csec
+		if lsec > 0 {
+			n.Inductors[l+s].L = lsec
+		}
+	}
+	n.Capacitors[c].C, n.Capacitors[c+sections].C = cEnd, cEnd
 }

@@ -2,6 +2,7 @@ package netlist
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -176,6 +177,34 @@ func TestSegmentRLCValidateRejectsNonFinite(t *testing.T) {
 	} {
 		if err := bad.Validate(); err == nil {
 			t.Errorf("accepted non-finite segment %+v", bad)
+		}
+	}
+}
+
+// SetLadder over a built ladder leaves the netlist AddLadder would have
+// built with the new values, for RLC and RC ladders and one section.
+func TestSetLadderMatchesAddLadder(t *testing.T) {
+	for _, c := range []struct {
+		old, seg SegmentRLC
+		sections int
+	}{
+		{SegmentRLC{R: 100, L: 4e-9, C: 1e-12}, SegmentRLC{R: 37, L: 1.3e-9, C: 0.7e-12}, 5},
+		{SegmentRLC{R: 10, C: 1e-13}, SegmentRLC{R: 12.5, C: 3e-13}, 3},
+		{SegmentRLC{R: 5, L: 1e-9, C: 1e-13}, SegmentRLC{R: 6, L: 2e-9, C: 2e-13}, 1},
+	} {
+		build := func(seg SegmentRLC) *Netlist {
+			n := New()
+			n.AddR("rd", "in", "a", 40)
+			if _, err := n.AddLadder("w", "a", "b", seg, c.sections); err != nil {
+				t.Fatal(err)
+			}
+			n.AddC("cl", "b", Ground, 1e-15)
+			return n
+		}
+		got, want := build(c.old), build(c.seg)
+		got.SetLadder(1, 0, 0, c.seg, c.sections)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%d sections: SetLadder gives %+v, AddLadder %+v", c.sections, got, want)
 		}
 	}
 }

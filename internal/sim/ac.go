@@ -53,9 +53,19 @@ func AC(nl *netlist.Netlist, freqs []float64, acMag map[string]float64, probes [
 	return ACCtx(context.Background(), nl, freqs, acMag, probes)
 }
 
-// ACCtx is AC honouring cancellation between frequency points and
-// guarding each solve against non-finite results (ErrDiverged).
+// ACCtx compiles nl and runs (*Circuit).ACCtx.
 func ACCtx(ctx context.Context, nl *netlist.Netlist, freqs []float64, acMag map[string]float64, probes []string) (*ACResult, error) {
+	c, err := Compile(nl)
+	if err != nil {
+		return nil, err
+	}
+	return c.ACCtx(ctx, freqs, acMag, probes)
+}
+
+// ACCtx runs AC on the netlist's current values, honouring
+// cancellation between frequency points and guarding each solve
+// against non-finite results (ErrDiverged).
+func (c *Circuit) ACCtx(ctx context.Context, freqs []float64, acMag map[string]float64, probes []string) (*ACResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -70,16 +80,15 @@ func ACCtx(ctx context.Context, nl *netlist.Netlist, freqs []float64, acMag map[
 			return nil, fmt.Errorf("sim: AC frequency %g must be positive", f)
 		}
 	}
-	m, err := assemble(nl)
-	if err != nil {
+	if err := c.load(); err != nil {
 		return nil, err
 	}
-	probeIdx, err := m.probeRows(probes)
+	probeIdx, err := c.probeRows(probes)
 	if err != nil {
 		return nil, err
 	}
 	srcIdx := map[string]int{}
-	for k, v := range nl.VSources {
+	for k, v := range c.nl.VSources {
 		srcIdx[v.Name] = k
 	}
 	for name := range acMag {
@@ -93,20 +102,24 @@ func ACCtx(ctx context.Context, nl *netlist.Netlist, freqs []float64, acMag map[
 		V:      map[string][]complex128{},
 		IProbe: map[string][]complex128{},
 	}
-	b := make([]complex128, m.dim)
+	b := make([]complex128, c.dim)
 	for name, mag := range acMag {
-		b[m.srcRow[srcIdx[name]]] = complex(mag, 0)
+		b[c.srcRow[srcIdx[name]]] = complex(mag, 0)
 		res.IProbe[name] = nil
 	}
 
-	a := linalg.NewCMatrix(m.dim, m.dim)
+	// Each frequency rewrites the pattern of the dense G + jωC.
+	n, gc := c.dim, &c.p
+	a := linalg.NewCMatrix(n, n)
 	for _, f := range freqs {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		w := 2 * math.Pi * f
-		for i := range a.Data {
-			a.Data[i] = complex(m.g.Data[i], w*m.c.Data[i])
+		for i := 0; i < n; i++ {
+			for k := gc.rowPtr[i]; k < gc.rowPtr[i+1]; k++ {
+				a.Data[i*n+gc.col[k]] = complex(gc.g[k], w*gc.c[k])
+			}
 		}
 		x, err := linalg.SolveSystemC(a, b)
 		if err != nil {
@@ -126,7 +139,7 @@ func ACCtx(ctx context.Context, nl *netlist.Netlist, freqs []float64, acMag map[
 			res.V[p] = append(res.V[p], v)
 		}
 		for name := range acMag {
-			res.IProbe[name] = append(res.IProbe[name], x[m.srcRow[srcIdx[name]]])
+			res.IProbe[name] = append(res.IProbe[name], x[c.srcRow[srcIdx[name]]])
 		}
 	}
 	return res, nil

@@ -123,17 +123,21 @@ func TestCrossingsSpanReportsStepsRun(t *testing.T) {
 	t.Fatal("no sim.transient span")
 }
 
-// Once the dense workspace pool is warm, a crossings run allocates the
-// same whatever its horizon, and less than one dense dim² matrix.
+// A crossings run allocates the same whatever its horizon, and fewer
+// bytes than one dense dim×dim matrix. A warm rerun of a compiled
+// Circuit allocates a small constant that depends on neither the
+// horizon nor the system's dimension, and fewer bytes than one
+// dim-vector: every dimension-sized buffer is the Circuit's own.
+// Collection is off while counting, as in
+// TestTransientAllocationsIndependentOfSteps.
 func TestCrossingsAllocationsIndependentOfHorizon(t *testing.T) {
-	// No collection during the measurement, so the pool stays warm.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	nl := stageNetlist(t, true, 6)
-	m, err := assemble(nl)
+	c, err := Compile(nl)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dense := uint64(m.dim * m.dim * 8)
+	dense := uint64(c.dim * c.dim * 8)
 	run := func(steps int) func() {
 		return func() {
 			if _, err := CrossingsCtx(context.Background(), nl, stageStep, float64(steps)*stageStep, stageSinks, 0.5, true); err != nil {
@@ -141,29 +145,57 @@ func TestCrossingsAllocationsIndependentOfHorizon(t *testing.T) {
 			}
 		}
 	}
-	run(400)() // warm the pool
-	short, long := testing.AllocsPerRun(5, run(400)), testing.AllocsPerRun(5, run(4000))
-	if math.Abs(long-short) > poolMissAllocs {
+	if short, long := testing.AllocsPerRun(5, run(400)), testing.AllocsPerRun(5, run(4000)); long != short {
 		t.Fatalf("allocations depend on the horizon: %v at 400 steps, %v at 4000", short, long)
 	}
-	if raceEnabled {
-		return // a pool miss costs a whole dense matrix
+	if perCall := bytesPerCall(run(4000)); perCall >= dense {
+		t.Fatalf("%d B per call, not below one dense %d×%d matrix (%d B)", perCall, c.dim, c.dim, dense)
 	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	const calls = 10
-	for i := 0; i < calls; i++ {
-		run(4000)()
-	}
-	runtime.ReadMemStats(&after)
-	if perCall := (after.TotalAlloc - before.TotalAlloc) / calls; perCall >= dense {
-		t.Fatalf("%d B per call, not below one dense %d×%d matrix (%d B)", perCall, m.dim, m.dim, dense)
+
+	var want float64
+	for i, sections := range []int{2, 12} {
+		c, err := Compile(stageNetlist(t, true, sections))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, steps := range []int{400, 4000} {
+			rerun := func() {
+				if _, err := c.CrossingsCtx(context.Background(), stageStep, float64(steps)*stageStep, stageSinks, 0.5, true); err != nil {
+					t.Fatal(err)
+				}
+			}
+			rerun() // grow the factor storage
+			got := testing.AllocsPerRun(5, rerun)
+			if i == 0 && steps == 400 {
+				want = got
+			}
+			if got != want || got > 8 {
+				t.Fatalf("a warm rerun of the %d-unknown stage allocates %v times at %d steps; want the same %v as the %d-section stage at 400, and at most 8",
+					c.dim, got, steps, want, 2)
+			}
+			if perCall, vec := bytesPerCall(rerun), uint64(c.dim*8); perCall >= vec {
+				t.Fatalf("a warm rerun of the %d-unknown stage allocates %d B at %d steps, not below one %d-vector (%d B)",
+					c.dim, perCall, steps, c.dim, vec)
+			}
+		}
 	}
 }
 
-// Concurrent runs share the dense workspace pool; each must still get
-// the serial result bit for bit.
-func TestCrossingsConcurrentRunsShareThePool(t *testing.T) {
+// bytesPerCall returns the bytes f allocates per call, over ten calls.
+func bytesPerCall(f func()) uint64 {
+	const calls = 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < calls; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / calls
+}
+
+// Concurrent package-level runs each compile their own Circuit; each
+// must get the serial result bit for bit.
+func TestCrossingsConcurrentRunsMatchSerial(t *testing.T) {
 	rc, rlc := stageNetlist(t, false, 6), stageNetlist(t, true, 6)
 	serial := func(nl *netlist.Netlist) []float64 {
 		d, err := CrossingsCtx(context.Background(), nl, stageStep, 4000*stageStep, stageSinks, 0.5, true)
@@ -179,7 +211,6 @@ func TestCrossingsConcurrentRunsShareThePool(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 8; i++ {
-				// Alternate sizes so small and large buffers trade places.
 				k := (w + i) % 2
 				got, err := CrossingsCtx(context.Background(), []*netlist.Netlist{rc, rlc}[k], stageStep, 4000*stageStep, stageSinks, 0.5, true)
 				if err != nil {

@@ -37,30 +37,44 @@ func oracleNetlists(t *testing.T) []namedNetlist {
 	return nls
 }
 
-// The numbering is a permutation of every unknown, and every nonzero of
-// G and C lies within the half-bandwidth assemble reports, which some
-// nonzero attains.
+// The numbering is a permutation of every unknown; every nonzero of G
+// and C lies within the half-bandwidth Compile reports, which some
+// nonzero attains; and the pattern holds every nonzero, stamped to the
+// dense assembly's value bit for bit.
 func TestAssembleOrderIsPermutation(t *testing.T) {
 	for _, c := range oracleNetlists(t) {
 		t.Run(c.name, func(t *testing.T) {
-			m, err := assemble(c.nl)
+			m, err := Compile(c.nl)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if len(m.pos) != m.dim {
-				t.Fatalf("%d positions for %d unknowns", len(m.pos), m.dim)
+				t.Fatalf("%d rows for %d unknowns", len(m.pos), m.dim)
 			}
 			seen := make([]bool, m.dim)
-			for u, p := range m.pos {
-				if p < 0 || p >= m.dim || seen[p] {
-					t.Fatalf("unknown %d at position %d: not a permutation of 0..%d", u, p, m.dim-1)
+			for _, r := range m.pos {
+				if r < 0 || r >= m.dim || seen[r] {
+					t.Fatalf("row %d: not a permutation of 0..%d", r, m.dim-1)
 				}
-				seen[p] = true
+				seen[r] = true
 			}
+			if err := m.load(); err != nil {
+				t.Fatal(err)
+			}
+			g, cm := denseAssemble(m)
+			pg, pc := linalg.NewMatrix(m.dim, m.dim), linalg.NewMatrix(m.dim, m.dim)
+			for i := 0; i < m.dim; i++ {
+				for k := m.p.rowPtr[i]; k < m.p.rowPtr[i+1]; k++ {
+					pg.Set(i, m.p.col[k], m.p.g[k])
+					pc.Set(i, m.p.col[k], m.p.c[k])
+				}
+			}
+			sameBits(t, "G", pg.Data, g.Data)
+			sameBits(t, "C", pc.Data, cm.Data)
 			widest := 0
 			for i := 0; i < m.dim; i++ {
 				for j := 0; j < m.dim; j++ {
-					if m.g.At(i, j) == 0 && m.c.At(i, j) == 0 {
+					if g.At(i, j) == 0 && cm.At(i, j) == 0 {
 						continue
 					}
 					if d := max(i-j, j-i); d > m.bw {
@@ -128,6 +142,24 @@ func sparseBanded(rng *rand.Rand, n, bw int, density float64) *linalg.Matrix {
 	return a
 }
 
+// pencilOf compresses dense G and C of half-bandwidth bw onto the
+// merged pattern of their nonzeros.
+func pencilOf(g, c *linalg.Matrix, bw int) *pencil {
+	n := g.Rows
+	p := &pencil{rowPtr: make([]int, 1, n+1)}
+	for i := 0; i < n; i++ {
+		for j := max(0, i-bw); j <= min(n-1, i+bw); j++ {
+			if gv, cv := g.At(i, j), c.At(i, j); gv != 0 || cv != 0 {
+				p.col = append(p.col, j)
+				p.g = append(p.g, gv)
+				p.c = append(p.c, cv)
+			}
+		}
+		p.rowPtr = append(p.rowPtr, len(p.col))
+	}
+	return p
+}
+
 // The one-pass step product is bit for bit the dense products and sums
 // it replaces: C·x and G·x by Matrix.MulVec, then b0 + ((b1 + s·Cx) − Gx).
 func TestStepRHSMatchesDenseBits(t *testing.T) {
@@ -136,7 +168,7 @@ func TestStepRHSMatchesDenseBits(t *testing.T) {
 		n := 2 + rng.Intn(60)
 		bw := rng.Intn(n)
 		g, c := sparseBanded(rng, n, bw, 0.3), sparseBanded(rng, n, bw, 0.3)
-		p := compressPencil(&mna{dim: n, bw: bw, g: g, c: c})
+		p := pencilOf(g, c, bw)
 		nnz := 0
 		for i := range g.Data {
 			if g.Data[i] != 0 {
@@ -146,8 +178,8 @@ func TestStepRHSMatchesDenseBits(t *testing.T) {
 				nnz++
 			}
 		}
-		if p.nnz != nnz {
-			t.Fatalf("trial %d: nnz = %d, G and C hold %d nonzeros", trial, p.nnz, nnz)
+		if got := p.nonzeros(); got != nnz {
+			t.Fatalf("trial %d: nnz = %d, G and C hold %d nonzeros", trial, got, nnz)
 		}
 		x := randomVec(rng, n)
 		x[rng.Intn(n)] = 0

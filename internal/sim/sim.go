@@ -5,23 +5,13 @@
 // matrix is factored once and each step is a single back-substitution —
 // exactly the structure SPICE exploits for linear networks.
 //
-// Assembly numbers the unknowns (node voltages, inductor currents,
-// source currents) in reverse Cuthill–McKee order, so every nonzero of
-// G and C lies within a narrow band of the diagonal — two or three
-// places for an extracted ladder — and elimination, which works only
-// inside that band, leaves little fill. G and C are walked on one
-// merged compressed-row pattern and the LU factors in compressed-row
-// form: a step is one pass over the rows of G and C plus two
-// triangular sweeps, costs O(nnz), allocates nothing, and gives the
-// same floating-point results as the dense loop on the same numbering.
-// The dense assembly buffers double as elimination workspaces and are
-// pooled across runs.
-//
-// One set-up and one step loop serve two entry points: TransientCtx
-// records the probed waveforms to the horizon, and CrossingsCtx keeps
-// only each probe's first threshold crossing and stops stepping once
-// every probe has crossed — a stage delay costs the steps up to its
-// slowest sink, with the same result bit for bit.
+// Compile numbers the unknowns once per netlist shape, in reverse
+// Cuthill–McKee order so that G and C lie in a narrow band, and lays
+// out their merged compressed-row pattern; each run stamps the values
+// and factors in O(n·bw) band storage. A step is one pass over G and C
+// plus two sweeps of the compressed LU factors: O(nnz), allocation-free,
+// and bit for bit the dense loop on the same numbering. TransientCtx
+// records waveforms; CrossingsCtx stops at the last probe's crossing.
 package sim
 
 import (
@@ -29,7 +19,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sync"
 	"time"
 
 	"clockrlc/internal/linalg"
@@ -64,11 +53,12 @@ func solveErr(err error, what string) error {
 // back-substitutions while the hot loop stays branch-cheap.
 const cancelCheckStride = 64
 
-// Transient-simulator accounting. Counters are bumped once per run
-// (never inside the step loop) so the unobserved hot path is
+// Transient-simulator accounting. Counters are bumped once per compile
+// or run (never inside the step loop) so the unobserved hot path is
 // untouched; the histograms record per-run shape (system dimension,
 // step count, timestep) for profiling the MNA workload.
 var (
+	simCompiles   = obs.GetCounter("sim.compiles")
 	simTransients = obs.GetCounter("sim.transients")
 	simSteps      = obs.GetCounter("sim.steps")
 	simFactors    = obs.GetCounter("sim.factorizations")
@@ -78,214 +68,244 @@ var (
 	simStepHist   = obs.GetHistogram("sim.timestep_seconds")
 )
 
-// mna holds the assembled descriptor system G·x + C·ẋ = b(t) where x
-// stacks node voltages, inductor currents and source currents, in the
-// reverse Cuthill–McKee order assemble gives them. Every nonzero of G
-// and C lies within bw of the diagonal.
-type mna struct {
+// Circuit is a netlist compiled for simulation: the descriptor system
+// G·x + C·ẋ = b(t) over node voltages, inductor currents and source
+// currents. Compile fixes the element counts, the terminals and the
+// inductors each mutual couples; each run (TransientCtx, CrossingsCtx,
+// ACCtx) validates and stamps the current values, refuses changed
+// counts, and cannot see rewiring. A Circuit keeps scratch between runs
+// and is not safe for concurrent runs; the package-level functions
+// compile one per call and are.
+type Circuit struct {
 	nl      *netlist.Netlist
-	nodeIdx map[string]int // node name → unknown before renumbering (ground absent)
-	pos     []int          // unknown before renumbering → its row and column
+	counts  [5]int         // resistors, capacitors, inductors, mutuals and sources at Compile
+	nodeIdx map[string]int // node name → its unknown in first-appearance order (ground absent)
+	term    []int          // the (A, B) nodes of the resistors, capacitors, inductors and sources; -1 is ground
+	pos     []int          // unknown → its row: the nodes, then the inductor currents, then the source currents
 	srcRow  []int          // per source: the row of its current, where b(t) carries its voltage
 	dim, bw int
-	g, c    *linalg.Matrix
+	p       pencil
+	slots   []int // per stamp, in walk order: its place in p, -1 when dropped for ground
+
+	// Run scratch, reused by every run.
+	band            linalg.Band
+	lu              linalg.LU
+	x, b0, b1, rhsV []float64
+	probeIdx        []int
+	probeV          []float64
 }
 
-// node returns the row of a node's voltage, -1 for ground; ok is false
-// for a name the netlist does not have.
-func (m *mna) node(name string) (row int, ok bool) {
-	if name == netlist.Ground || name == "gnd" {
-		return -1, true
-	}
-	i, ok := m.nodeIdx[name]
-	if !ok {
-		return -1, false
-	}
-	return m.pos[i], true
-}
-
-// probeRows resolves probe node names to their rows, -1 for ground.
-func (m *mna) probeRows(probes []string) ([]int, error) {
-	rows := make([]int, len(probes))
-	for k, name := range probes {
-		var ok bool
-		if rows[k], ok = m.node(name); !ok {
-			return nil, fmt.Errorf("sim: unknown probe node %q", name)
+// Compile does the structural work of simulating nl once. It reads only
+// what it fixes; validating the values is each run's. The stamps' rows
+// and columns, nodes numbered in first-appearance order, are the graph
+// rcm orders; its edges and every diagonal are G and C's pattern.
+func Compile(nl *netlist.Netlist) (*Circuit, error) {
+	simCompiles.Inc()
+	nL := len(nl.Inductors)
+	for _, mu := range nl.Mutuals {
+		if min(mu.L1, mu.L2) < 0 || max(mu.L1, mu.L2) >= nL {
+			return nil, nl.Validate() // names this mutual or an element before it
 		}
 	}
-	return rows, nil
-}
-
-// assemble stamps nl into G and C, taking both dim×dim matrices from
-// densePool. A caller that keeps them simply never puts them back.
-//
-// Before renumbering, the unknowns are the nodes in first-appearance
-// order, then the inductor currents, then the source currents. Each
-// element's terminals are resolved to those integers once; the
-// incidence they give is the graph rcm orders, and the stamps land at
-// the renumbered rows and columns. Each entry sums its stamps in
-// element order whatever the numbering, so renumbering permutes G and
-// C without changing an entry.
-func assemble(nl *netlist.Netlist) (*mna, error) {
-	if err := nl.Validate(); err != nil {
-		return nil, err
-	}
-	nR, nC, nL, nV := len(nl.Resistors), len(nl.Capacitors), len(nl.Inductors), len(nl.VSources)
-	m := &mna{nl: nl, nodeIdx: make(map[string]int, nR+nC+nL+nV)}
+	nTerm := 2 * (len(nl.Resistors) + len(nl.Capacitors) + nL + len(nl.VSources))
+	c := &Circuit{nl: nl, counts: countsOf(nl), nodeIdx: make(map[string]int, nTerm/2), term: make([]int, 0, nTerm)}
 	node := func(name string) int {
 		if name == netlist.Ground || name == "gnd" {
 			return -1
 		}
-		i, ok := m.nodeIdx[name]
+		i, ok := c.nodeIdx[name]
 		if !ok {
-			i = len(m.nodeIdx)
-			m.nodeIdx[name] = i
+			i = len(c.nodeIdx)
+			c.nodeIdx[name] = i
 		}
 		return i
 	}
-	// term holds the (A, B) unknowns of the resistors, capacitors,
-	// inductors and sources, in that order; -1 is ground.
-	term := make([]int, 0, 2*(nR+nC+nL+nV))
 	for _, e := range nl.Resistors {
-		term = append(term, node(e.A), node(e.B))
+		c.term = append(c.term, node(e.A), node(e.B))
 	}
 	for _, e := range nl.Capacitors {
-		term = append(term, node(e.A), node(e.B))
+		c.term = append(c.term, node(e.A), node(e.B))
 	}
 	for _, e := range nl.Inductors {
-		term = append(term, node(e.A), node(e.B))
+		c.term = append(c.term, node(e.A), node(e.B))
 	}
 	for _, e := range nl.VSources {
-		term = append(term, node(e.A), node(e.B))
+		c.term = append(c.term, node(e.A), node(e.B))
 	}
-	nN := len(m.nodeIdx)
-	m.dim = nN + nL + nV
-	if m.dim == 0 {
+	n := len(c.nodeIdx) + nL + len(nl.VSources)
+	if n == 0 {
 		return nil, errors.New("sim: empty circuit")
 	}
+	c.dim = n
 
-	// The off-diagonal couplings, as pairs of unknowns: a resistor or
-	// capacitor couples its terminals, an inductor or source couples
-	// its current to each terminal, and a mutual couples two inductor
-	// currents.
-	edges := make([]int, 0, 2*(nR+nC+2*nL+len(nl.Mutuals)+2*nV))
-	for e := 0; e < nR+nC; e++ {
-		if a, b := term[2*e], term[2*e+1]; a >= 0 && b >= 0 {
-			edges = append(edges, a, b)
+	// Each stamp's place i·n + j before renumbering, -1 for ground.
+	c.slots = make([]int, 0, 2*nTerm+nL+2*len(nl.Mutuals))
+	c.walk(func(i, j int, _ bool, _ float64) {
+		key := -1
+		if i >= 0 && j >= 0 {
+			key = i*n + j
 		}
-	}
-	// Inductor k's current is unknown nN+k and source k's nN+nL+k;
-	// their terminals follow the resistors' and capacitors' in term.
-	for k := 0; k < nL+nV; k++ {
-		cur := nN + k
-		for _, t := range term[2*(nR+nC+k) : 2*(nR+nC+k)+2] {
-			if t >= 0 {
-				edges = append(edges, t, cur)
-			}
-		}
-	}
-	for _, mu := range nl.Mutuals {
-		edges = append(edges, nN+mu.L1, nN+mu.L2)
-	}
-	m.pos = rcm(m.dim, edges)
-	for e := 0; e < len(edges); e += 2 {
-		a, b := m.pos[edges[e]], m.pos[edges[e+1]]
-		m.bw = max(m.bw, a-b, b-a)
-	}
-	for i, t := range term {
-		if t >= 0 {
-			term[i] = m.pos[t]
-		}
-	}
+		c.slots = append(c.slots, key)
+	})
+	pos, nbrs := rcm(n, c.slots)
+	c.pos, c.srcRow = pos, pos[n-len(nl.VSources):]
 
-	m.g = pooledDense(m.dim)
-	m.c = pooledDense(m.dim)
-	stampPair := func(mat *linalg.Matrix, a, b int, v float64) {
-		if a >= 0 {
-			mat.Add(a, a, v)
+	// Row pos[v] of the pattern holds v's neighbours and its diagonal,
+	// renumbered and sorted; each stamp finds its place in its row.
+	c.p.rowPtr = make([]int, n+1)
+	for v, nb := range nbrs {
+		c.p.rowPtr[pos[v]+1] = len(nb) + 1
+	}
+	for i := range n {
+		c.p.rowPtr[i+1] += c.p.rowPtr[i]
+	}
+	m := c.p.rowPtr[n]
+	c.p.col, c.p.g, c.p.c = make([]int, m), make([]float64, m), make([]float64, m)
+	for v, nb := range nbrs {
+		row := c.p.col[c.p.rowPtr[pos[v]]:c.p.rowPtr[pos[v]+1]]
+		row[len(nb)] = pos[v]
+		for k, w := range nb {
+			row[k] = pos[w]
+			c.bw = max(c.bw, pos[w]-pos[v])
 		}
-		if b >= 0 {
-			mat.Add(b, b, v)
-		}
-		if a >= 0 && b >= 0 {
-			mat.Add(a, b, -v)
-			mat.Add(b, a, -v)
-		}
+		slices.Sort(row)
 	}
-	// stampBranch couples a branch current's row to its terminals:
-	// KCL (the current leaves A and enters B) and the branch equation's
-	// v_A − v_B.
-	stampBranch := func(row, a, b int) {
-		if a >= 0 {
-			m.g.Add(a, row, 1)
-			m.g.Add(row, a, 1)
-		}
-		if b >= 0 {
-			m.g.Add(b, row, -1)
-			m.g.Add(row, b, -1)
+	for s, key := range c.slots {
+		if key >= 0 {
+			i := pos[key/n]
+			k, _ := slices.BinarySearch(c.p.col[c.p.rowPtr[i]:c.p.rowPtr[i+1]], pos[key%n])
+			c.slots[s] = c.p.rowPtr[i] + k
 		}
 	}
-	t := term
-	for _, r := range nl.Resistors {
-		stampPair(m.g, t[0], t[1], 1/r.R)
-		t = t[2:]
-	}
-	for _, c := range nl.Capacitors {
-		stampPair(m.c, t[0], t[1], c.C)
-		t = t[2:]
-	}
-	for k, l := range nl.Inductors {
-		row := m.pos[nN+k]
-		stampBranch(row, t[0], t[1])
-		// Branch equation: v_A − v_B − L·di/dt (− M terms) = 0.
-		m.c.Add(row, row, -l.L)
-		t = t[2:]
-	}
-	for _, mu := range nl.Mutuals {
-		r1, r2 := m.pos[nN+mu.L1], m.pos[nN+mu.L2]
-		m.c.Add(r1, r2, -mu.M)
-		m.c.Add(r2, r1, -mu.M)
-	}
-	m.srcRow = make([]int, nV)
-	for k := range nl.VSources {
-		m.srcRow[k] = m.pos[nN+nL+k]
-		stampBranch(m.srcRow[k], t[0], t[1])
-		t = t[2:]
-	}
-	return m, nil
+	scratch := make([]float64, 4*n)
+	c.x, c.b0, c.b1, c.rhsV = scratch[:n], scratch[n:2*n], scratch[2*n:3*n], scratch[3*n:]
+	return c, nil
 }
 
-// rcm numbers the n vertices of the graph whose edges are the pairs
-// (edges[2e], edges[2e+1]) in reverse Cuthill–McKee order and returns
-// each vertex's position. Each connected component starts at an
-// unvisited vertex of least degree and is searched breadth first,
-// visiting each vertex's unvisited neighbours by ascending degree,
-// ties by index; the whole order is then reversed. Nothing depends on
-// map order, so the numbering is a function of the netlist alone.
-func rcm(n int, edges []int) []int {
-	// Adjacency in flat compressed rows: vertex v's distinct
-	// neighbours, by index, are adj[ptr[v]:ptr[v]+deg[v]].
+func countsOf(nl *netlist.Netlist) [5]int {
+	return [5]int{len(nl.Resistors), len(nl.Capacitors), len(nl.Inductors), len(nl.Mutuals), len(nl.VSources)}
+}
+
+// walk visits the MNA stamps in element order — resistors, capacitors,
+// inductors, mutuals, sources — with each stamp's unknowns before
+// renumbering (-1 is ground, dropping the stamp), whether it goes into
+// C rather than G, and its value.
+func (c *Circuit) walk(stamp func(i, j int, inC bool, v float64)) {
+	nl, t, nN := c.nl, c.term, len(c.nodeIdx)
+	pair := func(inC bool, v float64) {
+		a, b := t[0], t[1]
+		stamp(a, a, inC, v)
+		stamp(b, b, inC, v)
+		stamp(a, b, inC, -v)
+		stamp(b, a, inC, -v)
+		t = t[2:]
+	}
+	// A branch current's row couples to its terminals: KCL (the current
+	// leaves A and enters B) and the branch equation's v_A − v_B.
+	branch := func(row int) {
+		a, b := t[0], t[1]
+		stamp(a, row, false, 1)
+		stamp(row, a, false, 1)
+		stamp(b, row, false, -1)
+		stamp(row, b, false, -1)
+		t = t[2:]
+	}
+	for _, r := range nl.Resistors {
+		pair(false, 1/r.R)
+	}
+	for _, e := range nl.Capacitors {
+		pair(true, e.C)
+	}
+	for k, l := range nl.Inductors {
+		branch(nN + k)
+		// Branch equation: v_A − v_B − L·di/dt (− M terms) = 0.
+		stamp(nN+k, nN+k, true, -l.L)
+	}
+	for _, mu := range nl.Mutuals {
+		stamp(nN+mu.L1, nN+mu.L2, true, -mu.M)
+		stamp(nN+mu.L2, nN+mu.L1, true, -mu.M)
+	}
+	for k := range nl.VSources {
+		branch(nN + len(nl.Inductors) + k)
+	}
+}
+
+// load validates the netlist and stamps its current values into G and
+// C: it zeroes the pattern and adds every stamp into its place in
+// element order, so each entry is the sum a dense assembly forms, bit
+// for bit. A netlist whose element counts changed since Compile is
+// refused.
+func (c *Circuit) load() error {
+	if got := countsOf(c.nl); got != c.counts {
+		return fmt.Errorf("sim: netlist changed since Compile: %v resistors, capacitors, inductors, mutuals and sources, compiled with %v", got, c.counts)
+	}
+	if err := c.nl.Validate(); err != nil {
+		return err
+	}
+	clear(c.p.g)
+	clear(c.p.c)
+	k := 0
+	c.walk(func(_, _ int, inC bool, v float64) {
+		if s := c.slots[k]; s >= 0 && inC {
+			c.p.c[s] += v
+		} else if s >= 0 {
+			c.p.g[s] += v
+		}
+		k++
+	})
+	return nil
+}
+
+// probeRows resolves probe node names to the rows of their voltages,
+// -1 for ground, into the Circuit's scratch.
+func (c *Circuit) probeRows(probes []string) ([]int, error) {
+	c.probeIdx = c.probeIdx[:0]
+	for _, name := range probes {
+		i, ok := c.nodeIdx[name]
+		row := -1
+		if ok {
+			row = c.pos[i]
+		} else if name != netlist.Ground && name != "gnd" {
+			return nil, fmt.Errorf("sim: unknown probe node %q", name)
+		}
+		c.probeIdx = append(c.probeIdx, row)
+	}
+	return c.probeIdx, nil
+}
+
+// rcm numbers the n vertices of the graph whose edges are the
+// off-diagonal keys i·n + j (negative ones ignored; the keys are
+// symmetric) in reverse Cuthill–McKee order. It returns each vertex's
+// position and its distinct neighbours by index. Each connected
+// component starts at an unvisited vertex of least degree and is
+// searched breadth first, visiting unvisited neighbours by ascending
+// degree, ties by index; the whole order is then reversed. No map
+// order enters it.
+func rcm(n int, keys []int) (pos []int, nbrs [][]int) {
+	// Adjacency in flat compressed rows, each row then sorted and
+	// compacted in place.
 	ptr := make([]int, n+1)
-	for _, v := range edges {
-		ptr[v+1]++
+	for _, key := range keys {
+		if key >= 0 && key/n != key%n {
+			ptr[key/n+1]++
+		}
 	}
 	for v := 0; v < n; v++ {
 		ptr[v+1] += ptr[v]
 	}
-	adj := make([]int, len(edges))
-	fill := make([]int, n)
-	copy(fill, ptr[:n])
-	for e := 0; e < len(edges); e += 2 {
-		a, b := edges[e], edges[e+1]
-		adj[fill[a]], adj[fill[b]] = b, a
-		fill[a]++
-		fill[b]++
+	adj := make([]int, ptr[n])
+	fill := slices.Clone(ptr[:n])
+	for _, key := range keys {
+		if i := key / n; key >= 0 && i != key%n {
+			adj[fill[i]] = key % n
+			fill[i]++
+		}
 	}
-	deg := fill // reused: the distinct-neighbour count of each vertex
-	for v := 0; v < n; v++ {
-		nb := adj[ptr[v]:ptr[v+1]]
-		slices.Sort(nb)
-		deg[v] = len(slices.Compact(nb))
+	nbrs = make([][]int, n)
+	for v := range nbrs {
+		nbrs[v] = adj[ptr[v]:ptr[v+1]]
+		slices.Sort(nbrs[v])
+		nbrs[v] = slices.Compact(nbrs[v])
 	}
 
 	order := make([]int, 0, n)
@@ -293,7 +313,7 @@ func rcm(n int, edges []int) []int {
 	for len(order) < n {
 		start := -1
 		for v := 0; v < n; v++ {
-			if !visited[v] && (start < 0 || deg[v] < deg[start]) {
+			if !visited[v] && (start < 0 || len(nbrs[v]) < len(nbrs[start])) {
 				start = v
 			}
 		}
@@ -302,7 +322,7 @@ func rcm(n int, edges []int) []int {
 		for head := len(order) - 1; head < len(order); head++ {
 			v := order[head]
 			next := len(order)
-			for _, w := range adj[ptr[v] : ptr[v]+deg[v]] {
+			for _, w := range nbrs[v] {
 				if !visited[w] {
 					visited[w] = true
 					order = append(order, w)
@@ -312,24 +332,24 @@ func rcm(n int, edges []int) []int {
 			// orders them by (degree, index).
 			nb := order[next:]
 			for i := 1; i < len(nb); i++ {
-				for j := i; j > 0 && deg[nb[j]] < deg[nb[j-1]]; j-- {
+				for j := i; j > 0 && len(nbrs[nb[j]]) < len(nbrs[nb[j-1]]); j-- {
 					nb[j], nb[j-1] = nb[j-1], nb[j]
 				}
 			}
 		}
 	}
-	pos := make([]int, n)
+	pos = make([]int, n)
 	for i, v := range order {
 		pos[v] = n - 1 - i
 	}
-	return pos
+	return pos, nbrs
 }
 
 // rhs writes b(t)'s source rows: each carries its source's voltage.
 // Every other row of b(t) is zero, and rhs leaves it as it is.
-func (m *mna) rhs(t float64, b []float64) {
-	for k, v := range m.nl.VSources {
-		b[m.srcRow[k]] = v.Wave.At(t)
+func (c *Circuit) rhs(t float64, b []float64) {
+	for k, v := range c.nl.VSources {
+		b[c.srcRow[k]] = v.Wave.At(t)
 	}
 }
 
@@ -357,14 +377,24 @@ func Transient(nl *netlist.Netlist, h, tstop float64, probes []string) (*Result,
 	return TransientCtx(context.Background(), nl, h, tstop, probes)
 }
 
-// TransientCtx is Transient honouring cancellation (polled every
-// cancelCheckStride steps, so a cancel lands within a handful of
-// back-substitutions) and guarded against divergence: the right-hand
-// side and the state vector are checked for NaN/Inf on every step, and
-// a non-finite one aborts with ErrDiverged naming the step instead of
-// returning poisoned waveforms (a non-finite solve also matches
-// linalg.ErrIllConditioned).
+// TransientCtx is Transient honouring cancellation: it compiles nl and
+// runs (*Circuit).TransientCtx.
 func TransientCtx(ctx context.Context, nl *netlist.Netlist, h, tstop float64, probes []string) (*Result, error) {
+	c, err := Compile(nl)
+	if err != nil {
+		return nil, err
+	}
+	return c.TransientCtx(ctx, h, tstop, probes)
+}
+
+// TransientCtx runs Transient on the netlist's current values,
+// honouring cancellation (polled every cancelCheckStride steps, so a
+// cancel lands within a handful of back-substitutions) and guarded
+// against divergence: the right-hand side and the state vector are
+// checked for NaN/Inf on every step, and a non-finite one aborts with
+// ErrDiverged naming the step instead of returning poisoned waveforms
+// (a non-finite solve also matches linalg.ErrIllConditioned).
+func (c *Circuit) TransientCtx(ctx context.Context, h, tstop float64, probes []string) (*Result, error) {
 	steps, err := stepCount(h, tstop)
 	if err != nil {
 		return nil, err
@@ -381,7 +411,7 @@ func TransientCtx(ctx context.Context, nl *netlist.Netlist, h, tstop float64, pr
 	for k := range waves {
 		waves[k] = make([]float64, 0, samples)
 	}
-	err = simulate(ctx, nl, h, steps, probes, func(_ int, t float64, v []float64) bool {
+	err = c.simulate(ctx, h, steps, probes, func(_ int, t float64, v []float64) bool {
 		res.Time = append(res.Time, t)
 		for k, x := range v {
 			waves[k] = append(waves[k], x)
@@ -408,6 +438,15 @@ func (e *NoCrossingError) Error() string {
 	return fmt.Sprintf("sim: probe %q never crosses %g by t=%g s", e.Probe, e.Level, e.Tstop)
 }
 
+// CrossingsCtx compiles nl and runs (*Circuit).CrossingsCtx.
+func CrossingsCtx(ctx context.Context, nl *netlist.Netlist, h, tstop float64, probes []string, level float64, rising bool) ([]float64, error) {
+	c, err := Compile(nl)
+	if err != nil {
+		return nil, err
+	}
+	return c.CrossingsCtx(ctx, h, tstop, probes, level, rising)
+}
+
 // CrossingsCtx runs the transient of TransientCtx but records no
 // waveform: it returns each probe's first crossing of level in the
 // given direction (rising: from below to at-or-above), interpolated as
@@ -419,7 +458,7 @@ func (e *NoCrossingError) Error() string {
 // has not crossed by tstop yields a *NoCrossingError naming it. The
 // cancellation and divergence guards are TransientCtx's, and an armed
 // check engine vets every crossing time as it vets DelayFromT0's.
-func CrossingsCtx(ctx context.Context, nl *netlist.Netlist, h, tstop float64, probes []string, level float64, rising bool) ([]float64, error) {
+func (c *Circuit) CrossingsCtx(ctx context.Context, h, tstop float64, probes []string, level float64, rising bool) ([]float64, error) {
 	steps, err := stepCount(h, tstop)
 	if err != nil {
 		return nil, err
@@ -429,7 +468,7 @@ func CrossingsCtx(ctx context.Context, nl *netlist.Netlist, h, tstop float64, pr
 	prev := make([]float64, len(probes))
 	var prevT float64
 	left := len(probes)
-	err = simulate(ctx, nl, h, steps, probes, func(n int, t float64, v []float64) bool {
+	err = c.simulate(ctx, h, steps, probes, func(n int, t float64, v []float64) bool {
 		if n > 0 {
 			for k, b := range v {
 				if crossed[k] {
@@ -479,74 +518,26 @@ func stepCount(h, tstop float64) (int, error) {
 	return int(steps), nil
 }
 
-// densePool recycles the dense dim×dim assembly buffers of G and C
-// across transients. Both double as elimination workspaces (G for the
-// DC operating point, C's buffer for A = G + (2/h)·C), and everything
-// the step loop reads is copied out in compressed form, so the buffers
-// are pure scratch once set-up ends.
-var densePool = sync.Pool{New: func() any { return new(linalg.Matrix) }}
-
-// pooledDense returns a zeroed n×n matrix from densePool.
-func pooledDense(n int) *linalg.Matrix {
-	m := densePool.Get().(*linalg.Matrix)
-	if cap(m.Data) < n*n {
-		m.Data = make([]float64, n*n)
-	} else {
-		m.Data = m.Data[:n*n]
-		clear(m.Data)
-	}
-	m.Rows, m.Cols = n, n
-	return m
-}
-
 // pencil is G and C on their merged compressed-row pattern: row i's
 // entries sit in columns col[rowPtr[i]:rowPtr[i+1]], ascending, with
-// G's value in g and C's in c (one of them may be zero).
+// G's value in g and C's in c (either, or both, may be zero).
 type pencil struct {
 	rowPtr, col []int
 	g, c        []float64
-	nnz         int // nonzeros of G plus nonzeros of C
 }
 
-// compressPencil reads G and C inside the band into their merged
-// pattern.
-func compressPencil(m *mna) *pencil {
-	n, bw := m.dim, m.bw
-	g, c := m.g.Data, m.c.Data
-	entries := 0
-	for i := 0; i < n; i++ {
-		lo, hi := i*n+max(0, i-bw), i*n+min(n-1, i+bw)+1
-		for j := lo; j < hi; j++ {
-			if g[j] != 0 || c[j] != 0 {
-				entries++
-			}
+// nonzeros counts the nonzero values of G plus those of C.
+func (p *pencil) nonzeros() int {
+	nnz := 0
+	for k := range p.g {
+		if p.g[k] != 0 {
+			nnz++
+		}
+		if p.c[k] != 0 {
+			nnz++
 		}
 	}
-	p := &pencil{
-		rowPtr: make([]int, 1, n+1),
-		col:    make([]int, 0, entries),
-		g:      make([]float64, 0, entries),
-		c:      make([]float64, 0, entries),
-	}
-	for i := 0; i < n; i++ {
-		for j := max(0, i-bw); j <= min(n-1, i+bw); j++ {
-			gv, cv := g[i*n+j], c[i*n+j]
-			if gv == 0 && cv == 0 {
-				continue
-			}
-			p.col = append(p.col, j)
-			p.g = append(p.g, gv)
-			p.c = append(p.c, cv)
-			if gv != 0 {
-				p.nnz++
-			}
-			if cv != 0 {
-				p.nnz++
-			}
-		}
-		p.rowPtr = append(p.rowPtr, len(p.col))
-	}
-	return p
+	return nnz
 }
 
 // stepRHS forms the trapezoidal right-hand side
@@ -576,16 +567,32 @@ func (p *pencil) stepRHS(rhs, x, b0, b1 []float64, s float64) bool {
 	return chk == 0
 }
 
+// factor builds G + s·C (G alone for s = 0) from the pattern into band
+// storage and factors it into the Circuit's LU.
+func (c *Circuit) factor(s float64) error {
+	p := &c.p
+	c.band.Reset(c.dim, c.bw)
+	for i := range c.dim {
+		for k := p.rowPtr[i]; k < p.rowPtr[i+1]; k++ {
+			v := p.g[k]
+			if s != 0 {
+				v += s * p.c[k]
+			}
+			c.band.Set(i, p.col[k], v)
+		}
+	}
+	simFactors.Inc()
+	return c.lu.FactorBand(&c.band)
+}
+
 // simulate is the one set-up and step loop behind TransientCtx and
-// CrossingsCtx, traced as a sim.transient span. Set-up assembles the
-// MNA system, compresses G and C, solves the DC operating point and
-// factors the trapezoidal system matrix, all inside the band the
-// numbering gives. visit then sees the probed node voltages at step 0
-// (the DC operating point) and after each step n at t = n·h; returning
-// true stops the run there. The span's steps attribute is the number of
-// steps run, horizon_steps the number a full run to tstop takes, and bw
-// the half-bandwidth the system factored in.
-func simulate(ctx context.Context, nl *netlist.Netlist, h float64, steps int, probes []string,
+// CrossingsCtx, traced as a sim.transient span. Set-up stamps the
+// values, solves the DC operating point and factors the trapezoidal
+// matrix. visit then sees the probed voltages at step 0 (the DC point)
+// and after each step n at t = n·h; returning true stops the run. The
+// span's steps attribute is the steps run, horizon_steps those to
+// tstop, and bw the half-bandwidth factored in.
+func (c *Circuit) simulate(ctx context.Context, h float64, steps int, probes []string,
 	visit func(n int, t float64, v []float64) bool) error {
 	if ctx == nil {
 		ctx = context.Background()
@@ -595,68 +602,58 @@ func simulate(ctx context.Context, nl *netlist.Netlist, h float64, steps int, pr
 	simTransients.Inc()
 	simStepHist.Observe(h)
 	defer obs.SinceNs(simNs, time.Now())
-	m, err := assemble(nl)
-	if err != nil {
+	if err := c.load(); err != nil {
 		return err
 	}
-	// G and C are assembled dense but are almost empty; every step
-	// multiplies by them, so compress them once.
-	p := compressPencil(m)
-	sp.SetAttr("dim", m.dim)
-	sp.SetAttr("bw", m.bw)
-	sp.SetAttr("nnz", p.nnz)
-	simDimHist.Observe(float64(m.dim))
-	probeIdx, err := m.probeRows(probes)
+	p, n := &c.p, c.dim
+	// Attributes are boxed only for a recording span, so an untraced
+	// run's allocations do not depend on the values.
+	traced := sp.Active()
+	if traced {
+		sp.SetAttr("dim", n)
+		sp.SetAttr("bw", c.bw)
+		sp.SetAttr("nnz", p.nonzeros())
+	}
+	simDimHist.Observe(float64(n))
+	probeIdx, err := c.probeRows(probes)
 	if err != nil {
 		return err
 	}
 
-	// Trapezoidal system matrix A = G + (2/h)·C, built into C's buffer
-	// while G is still intact. Off the merged pattern both are +0, and
-	// so is A.
-	s := 2 / h
-	n := m.dim
-	for i := 0; i < n; i++ {
-		for k := p.rowPtr[i]; k < p.rowPtr[i+1]; k++ {
-			m.c.Data[i*n+p.col[k]] = p.g[k] + s*p.c[k]
-		}
-	}
-
-	// DC operating point: G·x = b(0), eliminating in G's buffer. b0 is
-	// also the first step's b(t0).
-	b0 := make([]float64, n)
-	m.rhs(0, b0)
-	gf, err := linalg.FactorInPlace(m.g, m.bw)
-	simFactors.Inc()
-	if err != nil {
+	// DC operating point: G·x = b(0). b0 is also the first step's
+	// b(t0). Only the source rows of b0 and b1 are ever written.
+	b0, b1, x := c.b0, c.b1, c.x
+	clear(b0)
+	clear(b1)
+	c.rhs(0, b0)
+	if err := c.factor(0); err != nil {
 		return fmt.Errorf("sim: DC operating point is singular (floating node or inductor loop): %w", err)
 	}
-	x, err := gf.Solve(b0)
-	if err != nil {
+	if err := c.lu.SolveInPlace(b0, x); err != nil {
 		return solveErr(err, "sim: DC operating point")
 	}
 
-	// A is factored once; every step is one solve. The factors are
-	// copied out in compressed form, so both dense buffers go back.
-	af, err := linalg.FactorInPlace(m.c, m.bw)
-	simFactors.Inc()
-	densePool.Put(m.g)
-	densePool.Put(m.c)
-	m.g, m.c = nil, nil
-	if err != nil {
+	// Trapezoidal system matrix A = G + (2/h)·C. Off the merged pattern
+	// both are +0, and so is A. It is factored once, into the same
+	// storage; every step is one solve.
+	s := 2 / h
+	if err := c.factor(s); err != nil {
 		return fmt.Errorf("sim: transient matrix singular: %w", err)
 	}
-	sp.SetAttr("lu_nnz", af.NNZ())
-	sp.SetAttr("horizon_steps", steps)
-
+	af := &c.lu
 	ran := 0
 	defer func() {
 		// Bulk-add once per run; nothing observes inside the step loop.
 		simSteps.Add(int64(ran))
 		simStepsHist.Observe(float64(ran))
-		sp.SetAttr("steps", ran)
+		if traced {
+			sp.SetAttr("lu_nnz", af.NNZ())
+			sp.SetAttr("horizon_steps", steps)
+			sp.SetAttr("steps", ran)
+		}
 	}()
-	v := make([]float64, len(probes))
+	v := slices.Grow(c.probeV[:0], len(probes))[:len(probes)]
+	c.probeV = v
 	sample := func() []float64 {
 		for k, idx := range probeIdx {
 			v[k] = 0
@@ -671,10 +668,9 @@ func simulate(ctx context.Context, nl *netlist.Netlist, h float64, steps int, pr
 	}
 
 	// The step loop allocates nothing: the right-hand side and the
-	// solve land in these buffers. Only the source rows of b0 and b1
-	// are ever written, and b(t1) of one step is b(t0) of the next.
-	b1 := make([]float64, n)
-	rhsVec := make([]float64, n)
+	// solve land in the Circuit's buffers, and b(t1) of one step is
+	// b(t0) of the next.
+	rhsVec := c.rhsV
 	for step := 1; step <= steps; step++ {
 		if step%cancelCheckStride == 0 {
 			if err := ctx.Err(); err != nil {
@@ -682,7 +678,7 @@ func simulate(ctx context.Context, nl *netlist.Netlist, h float64, steps int, pr
 			}
 		}
 		t1 := float64(step) * h
-		m.rhs(t1, b1)
+		c.rhs(t1, b1)
 		if !p.stepRHS(rhsVec, x, b0, b1, s) {
 			simDiverged.Inc()
 			return fmt.Errorf("sim: step %d (t=%g s): right-hand side non-finite (bad source?): %w", step, t1, ErrDiverged)
