@@ -60,6 +60,7 @@ fuzz:
 	$(GO) test -run '^FuzzCodecV3LoadFile$$' -fuzz '^FuzzCodecV3LoadFile$$' -fuzztime $(FUZZTIME) ./internal/table
 	$(GO) test -run '^FuzzGridEvalReference$$' -fuzz '^FuzzGridEvalReference$$' -fuzztime $(FUZZTIME) ./internal/spline
 	$(GO) test -run '^FuzzGeometryValidate$$' -fuzz '^FuzzGeometryValidate$$' -fuzztime $(FUZZTIME) ./internal/core
+	$(GO) test -run '^FuzzPartialMatrixBits$$' -fuzz '^FuzzPartialMatrixBits$$' -fuzztime $(FUZZTIME) ./internal/peec
 	$(GO) test -run '^FuzzBatchBody$$' -fuzz '^FuzzBatchBody$$' -fuzztime $(FUZZTIME) ./internal/serve
 	$(GO) test -run '^FuzzExtractBody$$' -fuzz '^FuzzExtractBody$$' -fuzztime $(FUZZTIME) ./internal/serve
 	$(GO) test -run '^FuzzDecodeState$$' -fuzz '^FuzzDecodeState$$' -fuzztime $(FUZZTIME) ./internal/clocktree
@@ -85,11 +86,14 @@ bench:
 bench-sim:
 	$(GO) test -run '^$$' -bench 'Transient|Crossings|Factor' -benchmem ./internal/sim ./internal/linalg
 
-# bench-table is the table-layer microbenchmark: the full post-load
-# audit of a default-axes set, and one warm cache open (a GetOrBuildCtx
-# hit) with checks off and at warn, with allocation counts.
+# bench-table is the table-layer microbenchmark: a table build (a
+# coplanar set on small axes, and the microstrip default-axes set the
+# tree workloads set up), the partial-inductance matrix of one of the
+# microstrip build's mutual solves, the full post-load audit of a
+# default-axes set, and one warm cache open (a GetOrBuildCtx hit) with
+# checks off and at warn, with allocation counts.
 bench-table:
-	$(GO) test -run '^$$' -bench 'Audit|CacheOpen' -benchmem ./internal/table
+	$(GO) test -run '^$$' -bench 'TableBuild|PartialMatrix|Audit|CacheOpen' -benchmem . ./internal/peec ./internal/table
 
 # bench-serve is the daemon's request microbenchmark: one 64-segment
 # /v1/batch body through the body decoder, and one warm 64-segment

@@ -198,25 +198,46 @@ func BenchmarkE10DirectSolve(b *testing.B) {
 }
 
 // BenchmarkTableBuild times a full Section III table build (the
-// one-off precomputation the method amortises).
+// one-off precomputation the method amortises): a coplanar set on
+// 5×6×8 axes, and the microstrip set on table.DefaultAxes in rlcxd's
+// default technology at a 50 ps rise time (1,056 loop solves), which
+// is what setting up a shielded extractor costs.
 func BenchmarkTableBuild(b *testing.B) {
-	cfg := table.Config{
+	coplanar := table.Config{
 		Name:      "bench",
 		Thickness: units.Um(2),
 		Rho:       units.RhoCopper,
 		Shielding: geom.ShieldNone,
 		Frequency: paper.Fsig,
 	}
-	axes := table.Axes{
-		Widths:   table.LogAxis(units.Um(1), units.Um(14), 5),
-		Spacings: table.LogAxis(units.Um(0.5), units.Um(22), 6),
-		Lengths:  table.LogAxis(units.Um(50), units.Um(8000), 8),
+	microstrip := table.Config{
+		Name:           "bench/microstrip",
+		Thickness:      units.Um(2),
+		Rho:            units.RhoCopper,
+		Shielding:      geom.ShieldMicrostrip,
+		PlaneGap:       units.Um(2),
+		PlaneThickness: units.Um(1),
+		Frequency:      units.SignificantFrequency(50 * units.PicoSecond),
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := table.Build(cfg, axes); err != nil {
-			b.Fatal(err)
-		}
+	for _, c := range []struct {
+		name string
+		cfg  table.Config
+		axes table.Axes
+	}{
+		{"coplanar", coplanar, table.Axes{
+			Widths:   table.LogAxis(units.Um(1), units.Um(14), 5),
+			Spacings: table.LogAxis(units.Um(0.5), units.Um(22), 6),
+			Lengths:  table.LogAxis(units.Um(50), units.Um(8000), 8),
+		}},
+		{"microstrip", microstrip, table.DefaultAxes()},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := table.Build(c.cfg, c.axes); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -58,13 +58,8 @@ var ErrUnphysical = errors.New("core: extracted values unphysical")
 
 // checkDim validates one named geometric field.
 func checkDim(what, field string, v float64) error {
-	switch {
-	case math.IsNaN(v):
-		return fmt.Errorf("%w: %s %s is NaN", ErrBadGeometry, what, field)
-	case math.IsInf(v, 0):
-		return fmt.Errorf("%w: %s %s is infinite", ErrBadGeometry, what, field)
-	case v <= 0:
-		return fmt.Errorf("%w: %s %s = %g must be positive", ErrBadGeometry, what, field, v)
+	if err := geom.CheckPositive(field, v); err != nil {
+		return fmt.Errorf("%w: %s %v", ErrBadGeometry, what, err)
 	}
 	return nil
 }

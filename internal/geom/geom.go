@@ -12,7 +12,42 @@ package geom
 import (
 	"errors"
 	"fmt"
+	"math"
 )
+
+// CheckFinite rejects a NaN or infinite value, naming the field.
+func CheckFinite(field string, v float64) error {
+	switch {
+	case math.IsNaN(v):
+		return fmt.Errorf("%s is NaN", field)
+	case math.IsInf(v, 0):
+		return fmt.Errorf("%s is infinite", field)
+	}
+	return nil
+}
+
+// CheckPositive rejects a NaN, infinite or non-positive value, naming
+// the field. NaN slips past a plain `v <= 0` comparison and would
+// otherwise fail deep in the field solver.
+func CheckPositive(field string, v float64) error {
+	if err := CheckFinite(field, v); err != nil {
+		return err
+	}
+	if v <= 0 {
+		return fmt.Errorf("%s = %g must be positive", field, v)
+	}
+	return nil
+}
+
+// firstErr returns the first non-nil error of errs after prefix.
+func firstErr(prefix string, errs ...error) error {
+	for _, err := range errs {
+		if err != nil {
+			return fmt.Errorf("%s %w", prefix, err)
+		}
+	}
+	return nil
+}
 
 // Trace is a rectangular conductor of Length along x, Width across y
 // and Thickness in z. X0 is the axial position of its near end, Y the
@@ -26,11 +61,10 @@ type Trace struct {
 // Validate reports whether the trace has physically meaningful
 // dimensions.
 func (t Trace) Validate() error {
-	if t.Length <= 0 || t.Width <= 0 || t.Thickness <= 0 {
-		return fmt.Errorf("geom: trace dimensions must be positive, got l=%g w=%g t=%g",
-			t.Length, t.Width, t.Thickness)
-	}
-	return nil
+	return firstErr("geom: trace",
+		CheckPositive("Length", t.Length), CheckPositive("Width", t.Width),
+		CheckPositive("Thickness", t.Thickness),
+		CheckFinite("X0", t.X0), CheckFinite("Y", t.Y), CheckFinite("Z", t.Z))
 }
 
 // X1 returns the axial position of the far end.
@@ -82,13 +116,9 @@ type GroundPlane struct {
 
 // Validate reports whether the plane is physically meaningful.
 func (p GroundPlane) Validate() error {
-	if p.Thickness <= 0 || p.Width <= 0 {
-		return fmt.Errorf("geom: ground plane dimensions must be positive, got t=%g w=%g", p.Thickness, p.Width)
-	}
-	if p.Rho <= 0 {
-		return fmt.Errorf("geom: ground plane resistivity must be positive, got %g", p.Rho)
-	}
-	return nil
+	return firstErr("geom: ground plane",
+		CheckPositive("Thickness", p.Thickness), CheckPositive("Width", p.Width),
+		CheckPositive("Rho", p.Rho), CheckFinite("Z", p.Z))
 }
 
 // Technology is the stack description: ordered layers (bottom to top)
@@ -207,7 +237,7 @@ func (b *Block) Validate() error {
 			return fmt.Errorf("plane above: %w", err)
 		}
 	}
-	return nil
+	return firstErr("geom: block", CheckPositive("Rho", b.Rho))
 }
 
 // SignalIndices returns the indices of non-ground traces.

@@ -63,8 +63,8 @@ func Solve(bars []peec.Bar, roles []Role, rhos []float64, f float64) (*Solution,
 	if n == 0 {
 		return nil, errors.New("loop: empty system")
 	}
-	if f <= 0 {
-		return nil, fmt.Errorf("loop: frequency must be positive, got %g", f)
+	if err := geom.CheckPositive("frequency", f); err != nil {
+		return nil, fmt.Errorf("loop: %w", err)
 	}
 	var sig, ret, open []int
 	for i, r := range roles {
@@ -89,8 +89,8 @@ func Solve(bars []peec.Bar, roles []Role, rhos []float64, f float64) (*Solution,
 		if err := b.Validate(); err != nil {
 			return nil, fmt.Errorf("loop: bar %d: %w", i, err)
 		}
-		if rhos[i] <= 0 {
-			return nil, fmt.Errorf("loop: bar %d: resistivity %g must be positive", i, rhos[i])
+		if err := geom.CheckPositive("resistivity", rhos[i]); err != nil {
+			return nil, fmt.Errorf("loop: bar %d: %w", i, err)
 		}
 	}
 
@@ -210,8 +210,8 @@ func SolveBlock(blk *geom.Block, signalIdx int, opts Options) (*Solution, error)
 		return nil, fmt.Errorf("loop: trace %d is a ground trace", signalIdx)
 	}
 	opts = opts.withDefaults()
-	if opts.Frequency <= 0 {
-		return nil, fmt.Errorf("loop: Options.Frequency must be positive, got %g", opts.Frequency)
+	if err := geom.CheckPositive("Options.Frequency", opts.Frequency); err != nil {
+		return nil, fmt.Errorf("loop: %w", err)
 	}
 
 	var bars []peec.Bar

@@ -56,10 +56,16 @@ type Bar struct {
 	L, W, T float64
 }
 
-// Validate reports whether the bar has positive dimensions.
+// Validate reports whether the bar has positive, finite dimensions, a
+// finite corner and a known axis, naming the offending field.
 func (b Bar) Validate() error {
-	if b.L <= 0 || b.W <= 0 || b.T <= 0 {
-		return fmt.Errorf("peec: bar dimensions must be positive, got L=%g W=%g T=%g", b.L, b.W, b.T)
+	for _, err := range []error{
+		geom.CheckPositive("L", b.L), geom.CheckPositive("W", b.W), geom.CheckPositive("T", b.T),
+		geom.CheckFinite("O[0]", b.O[0]), geom.CheckFinite("O[1]", b.O[1]), geom.CheckFinite("O[2]", b.O[2]),
+	} {
+		if err != nil {
+			return fmt.Errorf("peec: bar %w", err)
+		}
 	}
 	if b.Axis != AxisX && b.Axis != AxisY {
 		return fmt.Errorf("peec: bad axis %d", b.Axis)

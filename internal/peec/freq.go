@@ -5,6 +5,7 @@ import (
 	"math"
 	"time"
 
+	"clockrlc/internal/geom"
 	"clockrlc/internal/linalg"
 	"clockrlc/internal/obs"
 )
@@ -42,8 +43,11 @@ func EffectiveRL(b Bar, rho, f float64, nw, nt int) (RL, error) {
 	if err := b.Validate(); err != nil {
 		return RL{}, err
 	}
-	if rho <= 0 {
-		return RL{}, fmt.Errorf("peec: resistivity must be positive, got %g", rho)
+	if err := geom.CheckPositive("resistivity", rho); err != nil {
+		return RL{}, fmt.Errorf("peec: %w", err)
+	}
+	if err := geom.CheckFinite("frequency", f); err != nil {
+		return RL{}, fmt.Errorf("peec: %w", err)
 	}
 	fil := Filaments(b, nw, nt)
 	lp := PartialMatrix(fil)

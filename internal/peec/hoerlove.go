@@ -4,13 +4,18 @@ import (
 	"math"
 
 	"clockrlc/internal/obs"
-	"clockrlc/internal/units"
 )
 
-// mutualCalls counts Hoer–Love kernel evaluations (self inductances
-// included — a self is the kernel applied to coincident bars). One
-// atomic add per call, negligible next to the 64 hlF evaluations.
-var mutualCalls = obs.GetCounter("peec.mutual_calls")
+// Kernel accounting, each added once per PartialMatrix or
+// HoerLoveMutual call. mutual_calls counts bar pairs (self inductances
+// included — a self is the kernel applied to coincident bars);
+// kernel_evals counts the distinct hlF evaluations they cost, at most
+// 64 per pair, so kernel_evals / (64 · mutual_calls) is the share of
+// the closed form's evaluations the memo did not save.
+var (
+	mutualCalls = obs.GetCounter("peec.mutual_calls")
+	kernelEvals = obs.GetCounter("peec.kernel_evals")
+)
 
 // hlF is the sixth-order antiderivative of 1/r appearing in the
 // Hoer–Love closed-form volume integral for the mutual inductance of
@@ -59,16 +64,23 @@ func hlF(x, y, z float64) float64 {
 	return s
 }
 
-// hlSum evaluates the triple alternating second-difference of hlF over
-// the integration limits of each dimension. For a dimension with
-// source extent p, observer extent q and offset E (observer minimum
-// minus source minimum), the four evaluation points are
-// {E−p, E, E+q−p, E+q} with signs {+, −, −, +}: the second difference
-// that results from integrating over both extents.
-func hlSum(ex, lx1, lx2, ey, wy1, wy2, ez, tz1, tz2 float64) float64 {
-	xs := [4]float64{ex - lx1, ex, ex + lx2 - lx1, ex + lx2}
-	ys := [4]float64{ey - wy1, ey, ey + wy2 - wy1, ey + wy2}
-	zs := [4]float64{ez - tz1, ez, ez + tz2 - tz1, ez + tz2}
+// limitPoints returns the four limit points of each dimension of the
+// triple alternating second-difference of hlF that integrates over both
+// bars, in the bars' canonical frame. For a dimension with source
+// extent p, observer extent q and offset E (observer minimum minus
+// source minimum), the points are {E−p, E, E+q−p, E+q} with signs
+// sg = {+, −, −, +}.
+func limitPoints(a, b Bar) [3][4]float64 {
+	oa, ob := a.canonical(), b.canonical()
+	ex := ob[0] - oa[0]
+	ey := ob[1] - oa[1]
+	ez := ob[2] - oa[2]
+	lx1, lx2, wy1, wy2, tz1, tz2 := a.L, b.L, a.W, b.W, a.T, b.T
+	pts := [3][4]float64{
+		{ex - lx1, ex, ex + lx2 - lx1, ex + lx2},
+		{ey - wy1, ey, ey + wy2 - wy1, ey + wy2},
+		{ez - tz1, ez, ez + tz2 - tz1, ez + tz2},
+	}
 	// Snap limit points that are zero up to floating-point residue of
 	// the offset arithmetic (touching faces, aligned ends) to exact
 	// zero; otherwise residues of order 1e-16·scale activate the
@@ -77,25 +89,18 @@ func hlSum(ex, lx1, lx2, ey, wy1, wy2, ez, tz1, tz2 float64) float64 {
 		math.Max(math.Abs(wy1)+math.Abs(wy2)+math.Abs(ey),
 			math.Abs(tz1)+math.Abs(tz2)+math.Abs(ez)))
 	snap := 1e-12 * scale
-	for _, pts := range []*[4]float64{&xs, &ys, &zs} {
-		for i, v := range pts {
+	for d := range pts {
+		for i, v := range pts[d] {
 			if math.Abs(v) < snap {
-				pts[i] = 0
+				pts[d][i] = 0
 			}
 		}
 	}
-	sg := [4]float64{1, -1, -1, 1}
-	var s float64
-	for i := 0; i < 4; i++ {
-		for j := 0; j < 4; j++ {
-			p := sg[i] * sg[j]
-			for k := 0; k < 4; k++ {
-				s += p * sg[k] * hlF(xs[i], ys[j], zs[k])
-			}
-		}
-	}
-	return s
+	return pts
 }
+
+// sg holds the signs of the four limit points of each dimension.
+var sg = [4]float64{1, -1, -1, 1}
 
 // HoerLoveMutual returns the exact partial mutual inductance (H)
 // between two parallel rectangular bars with uniform current density,
@@ -104,17 +109,21 @@ func hlSum(ex, lx1, lx2, ey, wy1, wy2, ez, tz1, tz2 float64) float64 {
 // Orthogonal bars return exactly 0 (perpendicular currents do not
 // couple). When a and b describe the same volume the result is the
 // bar's partial self inductance.
+//
+// It is PartialMatrix's kernel applied to one pair, so an entry of
+// PartialMatrix equals HoerLoveMutual of its two bars bit for bit.
 func HoerLoveMutual(a, b Bar) float64 {
 	mutualCalls.Inc()
 	if a.Axis != b.Axis {
 		return 0
 	}
-	oa, ob := a.canonical(), b.canonical()
-	ex := ob[0] - oa[0]
-	ey := ob[1] - oa[1]
-	ez := ob[2] - oa[2]
-	den := 4 * math.Pi * a.W * a.T * b.W * b.T
-	return units.Mu0 / den * hlSum(ex, a.L, b.L, ey, a.W, b.W, ez, a.T, b.T)
+	bars := [2]Bar{a, b}
+	pairs := [1][2]int32{{0, 1}}
+	var out [1]float64
+	km := memoPool.Get().(*kernelMemo)
+	kernelEvals.Add(km.mutuals(bars[:], pairs[:], out[:]))
+	memoPool.Put(km)
+	return out[0]
 }
 
 // HoerLoveSelf returns the exact partial self inductance of a bar.

@@ -157,21 +157,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// checkPositive rejects non-positive and non-finite values with an
-// error naming the offending field; NaN would otherwise slip past a
-// plain `v <= 0` comparison and reach the field solver.
-func checkPositive(pkg, field string, v float64) error {
-	switch {
-	case math.IsNaN(v):
-		return fmt.Errorf("%s: %s is NaN", pkg, field)
-	case math.IsInf(v, 0):
-		return fmt.Errorf("%s: %s is infinite", pkg, field)
-	case v <= 0:
-		return fmt.Errorf("%s: %s must be positive, got %g", pkg, field, v)
-	}
-	return nil
-}
-
 // Validate checks the configuration is buildable.
 func (c Config) Validate() error {
 	for _, f := range []struct {
@@ -182,16 +167,18 @@ func (c Config) Validate() error {
 		{"resistivity", c.Rho},
 		{"frequency", c.Frequency},
 	} {
-		if err := checkPositive("table", f.name, f.v); err != nil {
-			return err
+		if err := geom.CheckPositive(f.name, f.v); err != nil {
+			return fmt.Errorf("table: %w", err)
 		}
 	}
-	if c.Shielding != geom.ShieldNone {
-		if math.IsNaN(c.PlaneGap) || math.IsNaN(c.PlaneThickness) ||
-			math.IsInf(c.PlaneGap, 0) || math.IsInf(c.PlaneThickness, 0) ||
-			c.PlaneGap <= 0 || c.PlaneThickness <= 0 {
-			return fmt.Errorf("table: %v configuration needs PlaneGap and PlaneThickness", c.Shielding)
-		}
+	if c.Shielding == geom.ShieldNone {
+		return nil
+	}
+	if err := geom.CheckPositive("PlaneGap", c.PlaneGap); err != nil {
+		return fmt.Errorf("table: %v configuration needs a plane: %w", c.Shielding, err)
+	}
+	if err := geom.CheckPositive("PlaneThickness", c.PlaneThickness); err != nil {
+		return fmt.Errorf("table: %v configuration needs a plane: %w", c.Shielding, err)
 	}
 	return nil
 }
